@@ -31,7 +31,7 @@ from repro.workloads import TrafficClass
 # legacy unsuffixed names are kept as aliases.  Engine selection also
 # comes from repro.bench: one env var (``REPRO_BENCH_ENGINE``) switches
 # both the machine-readable bench and every figure bench between the
-# per-request and batched engines.
+# per-event engine and fluid integration.
 from repro.bench import (
     ATTACK_MIX,
     ATTACK_RATE_RPS as ATTACK_RATE,
@@ -43,8 +43,8 @@ from repro.bench import (
     REGION_TYPES,
     SEED,
     bench_engine,
-    resolve_engine,
 )
+from repro.sim.engine import resolve_engine_selection
 
 #: The Table 2 scheme matrix.
 SCHEMES = {
@@ -107,24 +107,17 @@ def run_attack_scenario(
 ) -> DataCenterSimulation:
     """The evaluation scenario: trace-like normal load + DOPE flood.
 
-    *engine* picks the execution engine (``scalar``/``batched``/
-    ``fluid``); the default follows ``REPRO_BENCH_ENGINE``.  The figure
-    benches assert on model outputs, which the golden-equivalence
-    contract keeps byte-identical between scalar and batched, so the
-    selection changes wall-clock only.  (These closed-loop floods never
-    satisfy the fluid steadiness proof, so even ``fluid`` stays exact
-    here.)
+    *engine* picks the execution engine (``scalar``/``fluid``); the
+    default follows ``REPRO_BENCH_ENGINE``.  These closed-loop floods
+    never satisfy the fluid steadiness proof, so the figure benches'
+    model outputs are exact under either selection and only wall-clock
+    changes.
     """
     cfg = config or SimulationConfig(budget_level=budget, seed=seed)
-    engine_mode, engine_fluid = resolve_engine(
+    fluid = resolve_engine_selection(
         engine if engine is not None else bench_engine()
     )
-    sim = DataCenterSimulation(
-        cfg,
-        scheme=scheme_factory(),
-        engine_mode=engine_mode,
-        fluid=engine_fluid,
-    )
+    sim = DataCenterSimulation(cfg, scheme=scheme_factory(), fluid=fluid)
     sim.add_normal_traffic(rate_rps=normal_rate)
     if attack:
         sim.add_flood(

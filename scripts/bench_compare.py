@@ -17,7 +17,7 @@ The comparison has two parts:
   ``--floor`` events per wall-second (default: 10× the last committed
   per-request-engine headline).  The relative threshold protects the
   *current* baseline; the floor protects the aggregate-flow refactor
-  itself — it fails CI the day the batched/fluid path stops being an
+  itself — it fails CI the day the fluid path stops being an
   order of magnitude faster than the old per-request hot loop, even if
   someone "fixes" that by committing a slower baseline.  Pass
   ``--floor 0`` to disable (e.g. when comparing scalar-engine runs).
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 #: The committed smoke headline of the per-request (scalar) engine
-#: before the batched/fluid aggregate-flow refactor, in events per
+#: before the aggregate-flow refactor, in events per
 #: wall-second.  Kept as the fixed reference the speedup floor is
 #: anchored to — deliberately *not* read from the evolving baseline.
 LEGACY_HEADLINE_EVENTS_PER_WALL_S = 55_389.0
@@ -71,7 +71,7 @@ LEGACY_HEADLINE_EVENTS_PER_WALL_S = 55_389.0
 #: The speedup over the per-request engine the default floor enforces.
 MIN_SPEEDUP = 10.0
 
-#: Default ``--floor``: the batched/fluid bench must keep at least a
+#: Default ``--floor``: the fluid bench must keep at least a
 #: 10× headline over the old per-request hot loop.
 DEFAULT_FLOOR = LEGACY_HEADLINE_EVENTS_PER_WALL_S * MIN_SPEEDUP
 

@@ -28,7 +28,7 @@ from ..obs import Recorder
 from ..power.budget import BudgetLevel
 from ..runner import CellSpec, ResultCache, canonical_json, run_cells
 from ..sim.config import SimulationConfig
-from ..sim.engine import engine_from_env, resolve_engine_selection
+from ..sim.engine import engine_from_env
 from ..sim.simulation import DataCenterSimulation
 from ..workloads.catalog import RequestType
 
@@ -170,23 +170,19 @@ class DopeRegionAnalyzer:
     def probe(self, rtype: RequestType, rate_rps: float) -> RegionCell:
         """Run one cell and classify it.
 
-        The probe honours ``REPRO_BENCH_ENGINE`` but defaults to the
-        *batched* engine rather than fluid: sweep cells are model
-        measurements, and batched is byte-identical to the scalar
-        reference while fluid is only statistically faithful.
+        The probe honours ``REPRO_BENCH_ENGINE`` but defaults to
+        ``"scalar"`` rather than fluid: sweep cells are model
+        measurements, and fluid integration is only statistically
+        faithful.
         """
         check_positive("rate_rps", rate_rps)
-        engine_mode, fluid = resolve_engine_selection(
-            engine_from_env(default="batched")
-        )
+        fluid = engine_from_env(default="scalar") == "fluid"
         scheme = (
             make_scheme(self.scheme, self.config)
             if self.scheme is not None
             else None
         )
-        sim = DataCenterSimulation(
-            self.config, scheme=scheme, engine_mode=engine_mode, fluid=fluid
-        )
+        sim = DataCenterSimulation(self.config, scheme=scheme, fluid=fluid)
         sim.add_normal_traffic(rate_rps=self.background_rate_rps, num_users=50)
         flood = sim.add_flood(
             mix=rtype,

@@ -70,7 +70,6 @@ __all__ = [
     "BENCH_ENGINE_ENV",
     "BENCH_ENGINES",
     "bench_engine",
-    "resolve_engine",
     "BenchPlan",
     "plan_for",
     "run_bench",
@@ -108,8 +107,8 @@ ATTACK_MIX: RequestMix = uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
 # Network-layer floods run orders of magnitude above application
 # capacity; sized so each agent (rate/agents = 1200 rps/source) trips
 # the DDoS-deflate threshold at the very first poll, leaving most of
-# the window provably steady: the workload the batched/fluid engine
-# exists for.
+# the window provably steady: the workload fluid integration exists
+# for.
 VOLUME_RATE_RPS = 12000.0
 VOLUME_AGENTS = 10
 #: Faster perimeter polling for the volume phase only (short detection
@@ -119,8 +118,8 @@ VOLUME_POLL_S = 1.0
 #: Environment variable selecting the bench execution engine.
 BENCH_ENGINE_ENV = ENGINE_SELECT_ENV
 
-#: Valid bench engine names: the two engine modes plus ``"fluid"``
-#: (the batched engine with hybrid fluid integration opted in).
+#: Valid bench engine names: ``"scalar"`` (one event per arrival) and
+#: ``"fluid"`` (hybrid fluid integration opted in).
 BENCH_ENGINES = ENGINE_SELECTIONS
 
 
@@ -128,15 +127,10 @@ def bench_engine() -> str:
     """The bench execution engine selected by ``REPRO_BENCH_ENGINE``.
 
     Defaults to ``"fluid"`` — the bench measures the simulator at full
-    speed; export ``REPRO_BENCH_ENGINE=scalar`` (or ``batched``) to
-    baseline the other paths with the same scenarios.
+    speed; export ``REPRO_BENCH_ENGINE=scalar`` to baseline the
+    per-event path with the same scenarios.
     """
     return engine_from_env(default="fluid")
-
-
-def resolve_engine(engine: str) -> Tuple[str, bool]:
-    """Map a bench engine name to ``(EventEngine mode, fluid flag)``."""
-    return resolve_engine_selection(engine)
 
 
 #: The Fig 11 region-grid axes shared by the bench and the perf suite.
@@ -220,13 +214,12 @@ def run_bench(
 
     Phases share one recorder: the evaluation scenario under Anti-DOPE
     (drives the engine/cluster/network/power counters), a short chaos
-    run, the volume-flood absorption phase (where the batched/fluid
-    engine's cohort and analytic-integration paths carry the event
-    throughput), the tree-topology phase (flowlet ECMP plus per-PDU
-    enforcement on the ``tree-dc`` preset), then the region sweep twice
-    against a fresh temporary cache — a cold pass (all misses) and a
-    warm pass (all hits) — so the payload reports a real runner cache
-    hit rate.  Each ``phases`` row carries its own ``events`` /
+    run, the volume-flood absorption phase (where fluid integration
+    carries the event throughput), the tree-topology phase (flowlet
+    ECMP plus per-PDU enforcement on the ``tree-dc`` preset), then the
+    region sweep twice against a fresh temporary cache — a cold pass
+    (all misses) and a warm pass (all hits) — so the payload reports a
+    real runner cache hit rate.  Each ``phases`` row carries its own ``events`` /
     ``events_per_wall_s`` so the per-phase regression gate can check
     phases individually.
 
@@ -244,7 +237,7 @@ def run_bench(
     """
     plan = plan_for(mode)
     engine_name = engine if engine is not None else bench_engine()
-    engine_mode, engine_fluid = resolve_engine(engine_name)
+    fluid = resolve_engine_selection(engine_name)
     recorder = Recorder()
     cfg = SimulationConfig(budget_level=BudgetLevel.LOW, seed=seed)
 
@@ -257,9 +250,9 @@ def run_bench(
     def _events_now() -> float:
         return float(recorder.counters.get("engine.events_dispatched"))
 
-    best: Recorder = _attack_repetition(cfg, plan, engine_mode, engine_fluid)
+    best: Recorder = _attack_repetition(cfg, plan, fluid)
     for _ in range(plan.attack_repetitions - 1):
-        candidate = _attack_repetition(cfg, plan, engine_mode, engine_fluid)
+        candidate = _attack_repetition(cfg, plan, fluid)
         if _engine_throughput(candidate) > _engine_throughput(best):
             best = candidate
     phase_events["bench.attack_scenario"] = float(
@@ -269,19 +262,19 @@ def run_bench(
     recorder.timers.merge(best.timers)
 
     mark = _events_now()
-    _chaos_scenario(cfg, plan, recorder, engine_mode, engine_fluid)
+    _chaos_scenario(cfg, plan, recorder, fluid)
     phase_events["bench.chaos_scenario"] = _events_now() - mark
     mark = _events_now()
-    _volume_flood_scenario(plan, recorder, seed, engine_mode, engine_fluid)
+    _volume_flood_scenario(plan, recorder, seed, fluid)
     phase_events["bench.volume_flood"] = _events_now() - mark
     mark = _events_now()
-    _tree_topology_scenario(plan, recorder, seed, engine_mode, engine_fluid)
+    _tree_topology_scenario(plan, recorder, seed, fluid)
     phase_events["bench.tree_topology"] = _events_now() - mark
     mark = _events_now()
-    _online_detect_scenario(plan, recorder, seed, engine_mode, engine_fluid)
+    _online_detect_scenario(plan, recorder, seed, fluid)
     phase_events["bench.online_detect"] = _events_now() - mark
     mark = _events_now()
-    _prediction_scenario(plan, recorder, seed, engine_mode, engine_fluid)
+    _prediction_scenario(plan, recorder, seed, fluid)
     phase_events["bench.prediction"] = _events_now() - mark
 
     analyzer = DopeRegionAnalyzer(
@@ -345,12 +338,12 @@ def run_bench(
 
 
 def _attack_repetition(
-    cfg: SimulationConfig, plan: BenchPlan, mode: str, fluid: bool
+    cfg: SimulationConfig, plan: BenchPlan, fluid: bool
 ) -> Recorder:
     """One timed run of the evaluation scenario; returns its recorder."""
     recorder = Recorder()
     with recorder.timers.phase("bench.attack_scenario"):
-        engine = EventEngine(obs=recorder, mode=mode, fluid=fluid)
+        engine = EventEngine(obs=recorder, fluid=fluid)
         sim = DataCenterSimulation(cfg, scheme=AntiDopeScheme(), engine=engine)
         sim.add_normal_traffic(rate_rps=NORMAL_RATE_RPS)
         sim.add_flood(
@@ -367,7 +360,6 @@ def _chaos_scenario(
     cfg: SimulationConfig,
     plan: BenchPlan,
     recorder: Recorder,
-    mode: str,
     fluid: bool,
 ) -> None:
     """A short faulted run exercising the degradation paths.
@@ -378,7 +370,7 @@ def _chaos_scenario(
     shows up in the bench counters and timings.
     """
     with recorder.timers.phase("bench.chaos_scenario"):
-        engine = EventEngine(obs=recorder, mode=mode, fluid=fluid)
+        engine = EventEngine(obs=recorder, fluid=fluid)
         sim = DataCenterSimulation(cfg, scheme=AntiDopeScheme(), engine=engine)
         crash_at_s = plan.chaos_duration_s / 2.0
         fault_plan = (
@@ -401,7 +393,6 @@ def _volume_flood_scenario(
     plan: BenchPlan,
     recorder: Recorder,
     seed: int,
-    mode: str,
     fluid: bool,
 ) -> None:
     """The perimeter-absorption phase: a raw volume DoS vs the firewall.
@@ -411,14 +402,13 @@ def _volume_flood_scenario(
     the paper's network-layer flood (Figs. 3/5), which the firewall
     detects at its first poll and then rejects wholesale.  After
     detection the workload is provably steady, which is exactly what
-    the batched engine's cohort run-ahead and the fluid engine's
-    analytic segment integration accelerate; on the scalar engine the
-    same phase grinds through every arrival individually.  This phase
+    fluid integration accelerates; on the scalar engine the same phase
+    grinds through every arrival individually.  This phase
     dominates the headline event count by design: it measures the
     million-events regime the aggregate-flow refactor targets.
     """
     with recorder.timers.phase("bench.volume_flood"):
-        engine = EventEngine(obs=recorder, mode=mode, fluid=fluid)
+        engine = EventEngine(obs=recorder, fluid=fluid)
         cfg = SimulationConfig(
             budget_level=BudgetLevel.LOW,
             seed=seed,
@@ -441,7 +431,6 @@ def _tree_topology_scenario(
     plan: BenchPlan,
     recorder: Recorder,
     seed: int,
-    mode: str,
     fluid: bool,
 ) -> None:
     """The hierarchical phase: flowlet ECMP across the tree-dc fat-tree.
@@ -456,7 +445,7 @@ def _tree_topology_scenario(
     added events, nor a fabric slowdown behind the volume flood's bulk.
     """
     with recorder.timers.phase("bench.tree_topology"):
-        engine = EventEngine(obs=recorder, mode=mode, fluid=fluid)
+        engine = EventEngine(obs=recorder, fluid=fluid)
         cfg = SimulationConfig.for_topology(
             "tree-dc", budget_level=BudgetLevel.LOW, seed=seed
         )
@@ -476,7 +465,6 @@ def _online_detect_scenario(
     plan: BenchPlan,
     recorder: Recorder,
     seed: int,
-    mode: str,
     fluid: bool,
 ) -> None:
     """The inference-pipeline phase: streaming detection under a flood.
@@ -490,7 +478,7 @@ def _online_detect_scenario(
     diluted into the attack phase's Anti-DOPE numbers.
     """
     with recorder.timers.phase("bench.online_detect"):
-        engine = EventEngine(obs=recorder, mode=mode, fluid=fluid)
+        engine = EventEngine(obs=recorder, fluid=fluid)
         cfg = SimulationConfig(budget_level=BudgetLevel.LOW, seed=seed)
         sim = DataCenterSimulation(
             cfg, scheme=OnlineDetectScheme(), engine=engine
@@ -509,7 +497,6 @@ def _prediction_scenario(
     plan: BenchPlan,
     recorder: Recorder,
     seed: int,
-    mode: str,
     fluid: bool,
 ) -> None:
     """The predictor phase: history-driven oversubscription under poisoning.
@@ -524,7 +511,7 @@ def _prediction_scenario(
     flood lands well inside the measured run at either plan size.
     """
     with recorder.timers.phase("bench.prediction"):
-        engine = EventEngine(obs=recorder, mode=mode, fluid=fluid)
+        engine = EventEngine(obs=recorder, fluid=fluid)
         cfg = SimulationConfig(budget_level=BudgetLevel.LOW, seed=seed)
         sim = DataCenterSimulation(cfg, scheme=PredictionScheme(), engine=engine)
         sim.add_normal_traffic(rate_rps=NORMAL_RATE_RPS)

@@ -288,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(BENCH_ENGINES),
         default=None,
         help=(
-            "execution engine (default: $REPRO_BENCH_ENGINE or 'fluid')"
+            "execution engine, scalar|fluid "
+            "(default: $REPRO_BENCH_ENGINE or 'fluid')"
         ),
     )
 

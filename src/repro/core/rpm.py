@@ -24,6 +24,7 @@ from .._validation import check_fraction, check_positive
 from ..cluster.server import Server
 from ..power.battery import Battery
 from ..power.budget import PowerBudget
+from ..power.manager import append_decision
 from .dpm import DPMPlanner, ThrottlePlan
 
 __all__ = [
@@ -54,6 +55,7 @@ class RPMStats:
     reconfigurations: int = 0
     infeasible_slots: int = 0
     degraded_slots: int = 0
+    #: The most recent ``DECISION_HISTORY_CAP`` per-slot decisions.
     decisions: List[RPMDecision] = field(default_factory=list)
 
 
@@ -203,7 +205,7 @@ class RequestAwarePowerManager:
             plan=plan,
             reconfigured=reconfigured,
         )
-        self.stats.decisions.append(decision)
+        append_decision(self.stats.decisions, decision)
         return decision
 
     def _apply(self, plan: ThrottlePlan) -> bool:

@@ -284,9 +284,9 @@ class OnlineDetectScheme(PowerManagementScheme):
     def _tee_completion(self, original):
         """Wrap a server's completion sink with the attribution tap.
 
-        Completion sinks fire per request in both the scalar and the
-        batched engine; the fluid path only bulk-absorbs firewall drops,
-        which never reach a server — so the tap is engine-mode safe.
+        Completion sinks fire per request; the fluid path only
+        bulk-absorbs firewall drops, which never reach a server — so the
+        tap is safe under fluid integration too.
         """
 
         def tee(request, outcome, now):

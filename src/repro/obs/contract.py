@@ -27,10 +27,10 @@ the literal head of the f-string against these.
 
 A second axis splits the counters themselves: most count *model*
 events (arrivals, drops, control slots) and must be byte-identical
-between same-seed runs in any engine execution mode; a few count
-*execution* work (cache-miss power evaluations, cohort bookkeeping)
-and legitimately differ between the scalar and batched engines.  The
-latter are listed in :data:`EXECUTION_COUNTER_NAMES` and excluded from
+between same-seed runs; a few count *execution* work (cache-miss
+power evaluations, fluid segments) and describe how a run was computed
+rather than what happened in it.  The latter are listed in
+:data:`EXECUTION_COUNTER_NAMES` and excluded from
 :meth:`~repro.obs.manifest.RunManifest.deterministic_payload`.
 """
 
@@ -55,13 +55,10 @@ COUNTER_NAMES: FrozenSet[str] = frozenset(
         "engine.run_calls",
         "engine.events_dispatched",
         "engine.sim_time_advanced_s",
-        "engine.cohorts_dispatched",
-        "engine.cohort_requests",
         "engine.fluid_segments",
         "engine.fluid_time_advanced_s",
         # sim.cluster — server fleet lifecycle
         "cluster.power_model_evals",
-        "cluster.power_model_vector_evals",
         "cluster.dvfs_transitions",
         "cluster.server_failures",
         "cluster.server_recoveries",
@@ -119,19 +116,14 @@ COUNTER_PREFIXES: FrozenSet[str] = frozenset(
 )
 
 #: Counters that measure how the simulator *computed* a run rather
-#: than what happened in it.  They vary with the engine execution mode
-#: (scalar vs. batched vs. fluid) while everything else stays
-#: byte-identical, so the deterministic manifest excludes them.  Still
-#: full members of :data:`COUNTER_NAMES` — they appear in telemetry
-#: and REP011 gates their spelling like any other name.
+#: than what happened in it, so the deterministic manifest excludes
+#: them.  Still full members of :data:`COUNTER_NAMES` — they appear in
+#: telemetry and REP011 gates their spelling like any other name.
 EXECUTION_COUNTER_NAMES: FrozenSet[str] = frozenset(
     {
-        "engine.cohorts_dispatched",
-        "engine.cohort_requests",
         "engine.fluid_segments",
         "engine.fluid_time_advanced_s",
         "cluster.power_model_evals",
-        "cluster.power_model_vector_evals",
     }
 )
 

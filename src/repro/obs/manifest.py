@@ -100,8 +100,8 @@ class RunManifest:
         Execution counters (``repro.obs.contract.
         EXECUTION_COUNTER_NAMES``) are filtered out alongside the wall
         timings: like wall clock, they describe how the run was
-        computed — the scalar and batched engines legitimately disagree
-        on them while agreeing byte-for-byte on everything kept here.
+        computed (cache-miss power evaluations, fluid segments) rather
+        than what happened in it.
         """
         return {
             "name": self.name,

@@ -9,7 +9,7 @@ requests drag every legitimate request down with them (Figs 7, 16, 17).
 
 from __future__ import annotations
 
-from .manager import PowerManagementScheme, UniformCappingMixin
+from .manager import PowerManagementScheme, UniformCappingMixin, append_decision
 
 __all__ = [
     "CappingScheme",
@@ -34,14 +34,15 @@ class CappingScheme(UniformCappingMixin, PowerManagementScheme):
         if not 0.0 <= hysteresis < 0.5:
             raise ValueError(f"hysteresis must be in [0, 0.5), got {hysteresis}")
         self.hysteresis = hysteresis
-        #: Per-slot record of (time, level) control decisions.
+        #: Per-slot (time, level) control decisions — a bounded trace of
+        #: the most recent ``DECISION_HISTORY_CAP`` slots.
         self.decisions = []
 
     def step(self) -> None:
         """Throttle (or recover) every server to fit the budget."""
         self._require_bound()
         level = self.apply_uniform_cap(self.budget.supply_w)
-        self.decisions.append((self.engine.now, level))
+        append_decision(self.decisions, (self.engine.now, level))
 
 
 class LocalCappingScheme(PowerManagementScheme):
@@ -66,6 +67,8 @@ class LocalCappingScheme(PowerManagementScheme):
         if not 0.0 <= hysteresis < 0.5:
             raise ValueError(f"hysteresis must be in [0, 0.5), got {hysteresis}")
         self.hysteresis = hysteresis
+        #: Per-slot (time, per-server levels) decisions, bounded like
+        #: :attr:`CappingScheme.decisions`.
         self.decisions = []
 
     def step(self) -> None:
@@ -87,4 +90,4 @@ class LocalCappingScheme(PowerManagementScheme):
                     break
             server.set_level(target)
             levels.append(target)
-        self.decisions.append((self.engine.now, tuple(levels)))
+        append_decision(self.decisions, (self.engine.now, tuple(levels)))

@@ -21,7 +21,23 @@ __all__ = [
     "PowerManagementScheme",
     "NullScheme",
     "UniformCappingMixin",
+    "DECISION_HISTORY_CAP",
+    "append_decision",
 ]
+
+#: Per-slot decisions a controller's ``decisions`` trace retains: the
+#: most recent ones, oldest discarded first.  Exact slot totals live in
+#: the ``power.*`` counters, so a multi-hour run keeps bounded memory.
+DECISION_HISTORY_CAP = 1024
+
+
+def append_decision(
+    history: list, decision: object, cap: int = DECISION_HISTORY_CAP
+) -> None:
+    """Append *decision* to *history*, trimming it to the newest *cap*."""
+    history.append(decision)
+    if len(history) > cap:
+        del history[: len(history) - cap]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cluster.rack import Rack

@@ -12,7 +12,12 @@ scheme degenerates into Capping with a delay.
 from __future__ import annotations
 
 from .._validation import check_int
-from .manager import PowerManagementScheme, UniformCappingMixin
+from .manager import (
+    DECISION_HISTORY_CAP,
+    PowerManagementScheme,
+    UniformCappingMixin,
+    append_decision,
+)
 
 __all__ = ["ShavingScheme"]
 
@@ -54,7 +59,7 @@ class ShavingScheme(UniformCappingMixin, PowerManagementScheme):
         soc_reserve: float = 0.05,
         hysteresis: float = 0.02,
         full_carry: bool = True,
-        max_decisions: int = 1024,
+        max_decisions: int = DECISION_HISTORY_CAP,
     ) -> None:
         super().__init__()
         if not 0.0 <= recharge_headroom_fraction <= 1.0:
@@ -121,6 +126,8 @@ class ShavingScheme(UniformCappingMixin, PowerManagementScheme):
                 headroom * self.recharge_headroom_fraction, headroom
             )
             battery.charge(charge_w, self.slot_s)
-        self.decisions.append((self.engine.now, deficit, battery_w, level))
-        if len(self.decisions) > self.max_decisions:
-            del self.decisions[: len(self.decisions) - self.max_decisions]
+        append_decision(
+            self.decisions,
+            (self.engine.now, deficit, battery_w, level),
+            self.max_decisions,
+        )

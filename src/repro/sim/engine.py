@@ -13,43 +13,30 @@ It also provides :meth:`EventEngine.every`, a convenience for the
 slotted control loops (power managers, firewall polls, attacker
 adjustment) that the paper's systems are built around.
 
-Execution modes
----------------
-The engine runs in one of two *execution* modes, selected at
-construction and deliberately **not** part of any
-:class:`~repro.sim.config.SimulationConfig` (a mode is a strategy for
+Fluid integration
+-----------------
+The engine has one execution option, deliberately **not** part of any
+:class:`~repro.sim.config.SimulationConfig` (it is a strategy for
 evaluating the same model, not a different model — config hashes and
-deterministic manifests must not depend on it):
-
-* ``"scalar"`` — the reference path: every arrival is its own heap
-  event.
-* ``"batched"`` — cohort run-ahead: an open-loop traffic generator may
-  advance a run of consecutive arrivals *inline* (one heap event for
-  the whole cohort) via :meth:`try_advance_inline`, as long as no other
-  queued event falls between them and the run deadline admits it.  Each
-  inline arrival still advances the clock and counts as one dispatched
-  (logical) event, so ``engine.events_dispatched`` is identical across
-  modes — the byte-identical equivalence contract the golden tests
-  enforce.
-
-On top of the batched mode sits the **opt-in hybrid fluid mode**
-(``fluid=True``): when a segment of simulated time is *provably steady*
-— every arrival in it deterministically takes the same terminal path,
-e.g. an open-loop flood whose sources are all firewall-banned past the
-segment's end — the segment is integrated analytically instead of
-event by event (:meth:`try_advance_fluid`).  The absorbed arrivals are
-credited as dispatched logical events and accounted in bulk, but their
-per-request ids are never materialised and their interarrival gaps are
-replaced by one aggregate draw, so fluid runs are *statistically*
-faithful rather than byte-identical.  Fluid mode therefore sits outside
-the golden-equivalence contract and is never enabled by default.
+deterministic manifests must not depend on it).  By default every
+arrival is its own heap event.  With ``fluid=True`` a segment of
+simulated time that is *provably steady* — every arrival in it
+deterministically takes the same terminal path, e.g. an open-loop flood
+whose sources are all firewall-banned past the segment's end — is
+integrated analytically instead of event by event
+(:meth:`try_advance_fluid`).  The absorbed arrivals are credited as
+dispatched logical events and accounted in bulk, but their per-request
+ids are never materialised and their interarrival gaps are replaced by
+one aggregate draw, so fluid runs are *statistically* faithful rather
+than byte-identical.  Fluid integration is therefore never enabled by
+default.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from .._validation import check_non_negative, check_positive
 from ..obs import Recorder
@@ -58,23 +45,19 @@ from .events import NO_ARG, Event, EventQueue, PRIORITY_WORKLOAD
 
 __all__ = [
     "EventEngine",
-    "ENGINE_MODES",
     "ENGINE_SELECT_ENV",
     "ENGINE_SELECTIONS",
     "engine_from_env",
     "resolve_engine_selection",
 ]
 
-#: Valid execution modes.
-ENGINE_MODES = ("scalar", "batched")
-
 #: Environment variable selecting an engine for env-aware entry points
 #: (the bench driver, the figure benches, the region sweep).
 ENGINE_SELECT_ENV = "REPRO_BENCH_ENGINE"
 
-#: Valid engine selections: the two execution modes plus ``"fluid"``
-#: (the batched engine with hybrid fluid integration opted in).
-ENGINE_SELECTIONS = ("scalar", "batched", "fluid")
+#: Valid engine selections: the per-event engine, or the same engine
+#: with hybrid fluid integration opted in.
+ENGINE_SELECTIONS = ("scalar", "fluid")
 
 
 def engine_from_env(default: str = "fluid") -> str:
@@ -82,7 +65,7 @@ def engine_from_env(default: str = "fluid") -> str:
 
     Entry points differ in their default: the bench driver measures at
     full speed (``"fluid"``), while exact consumers (the region sweep)
-    default to ``"batched"``, which is byte-identical to scalar.
+    default to ``"scalar"``.
     """
     value = os.environ.get(ENGINE_SELECT_ENV, "").strip().lower()
     if not value:
@@ -95,15 +78,13 @@ def engine_from_env(default: str = "fluid") -> str:
     return value
 
 
-def resolve_engine_selection(engine: str) -> Tuple[str, bool]:
-    """Map an engine selection name to ``(EventEngine mode, fluid flag)``."""
-    if engine == "fluid":
-        return "batched", True
+def resolve_engine_selection(engine: str) -> bool:
+    """The ``EventEngine`` fluid flag an engine selection name stands for."""
     if engine not in ENGINE_SELECTIONS:
         raise ValueError(
             f"engine must be one of {ENGINE_SELECTIONS}, got {engine!r}"
         )
-    return engine, False
+    return engine == "fluid"
 
 
 class EventEngine:
@@ -120,36 +101,25 @@ class EventEngine:
         Initial simulation time.
     obs:
         Shared observation context (default: a private recorder).
-    mode:
-        Execution strategy, ``"scalar"`` (default) or ``"batched"`` —
-        see the module docstring.  Same-seed runs produce byte-identical
-        deterministic outputs in either mode.
     fluid:
-        Opt into hybrid fluid integration of provably-steady segments
-        (requires ``mode="batched"``).  Fluid runs are statistically
-        faithful but **not** byte-identical to scalar runs — see the
-        module docstring.
+        Opt into hybrid fluid integration of provably-steady segments.
+        Fluid runs are statistically faithful but **not** byte-identical
+        to per-event runs — see the module docstring.
     """
+
+    #: Engine name reported by the external benchmark (``perfbench``
+    #: reads ``engine.mode``); there is only one execution path.
+    mode = "scalar"
 
     def __init__(
         self,
         start_time_s: float = 0.0,
         obs: Optional[Recorder] = None,
-        mode: str = "scalar",
         fluid: bool = False,
     ) -> None:
-        if mode not in ENGINE_MODES:
-            raise ValueError(
-                f"mode must be one of {ENGINE_MODES}, got {mode!r}"
-            )
-        if fluid and mode != "batched":
-            raise ValueError("fluid mode requires mode='batched'")
         self.clock = SimulationClock(start_time_s)
         self.obs = obs if obs is not None else Recorder()
-        self.mode = mode
-        #: Fast-path flag components branch on (``mode == "batched"``).
-        self.batched = mode == "batched"
-        #: Hybrid fluid integration enabled (batched engines only).
+        #: Hybrid fluid integration enabled.
         self.fluid = fluid
         self._queue = EventQueue()
         self._running = False
@@ -317,38 +287,6 @@ class EventEngine:
                 "engine.sim_time_advanced_s", self.clock._now - sim_before_s
             )
         return self.clock._now
-
-    def try_advance_inline(self, time_s: float) -> bool:
-        """Batched-mode run-ahead: advance the clock to *time_s* inline.
-
-        Succeeds — advancing the clock and counting one dispatched
-        logical event — only when it is *provably* equivalent to
-        scheduling and immediately popping a heap event at *time_s*:
-
-        * a :meth:`run` is active and has not been stopped;
-        * *time_s* does not overrun the run deadline;
-        * *time_s* is **strictly** earlier than every queued event (a
-          queued event with an equal timestamp holds a smaller sequence
-          number and must dispatch first in scalar mode);
-        * *time_s* does not move the clock backwards (also rejects NaN).
-
-        Returns ``False`` without side effects otherwise; the caller
-        falls back to scheduling a regular event.
-        """
-        if not self._running or self._stopped:
-            return False
-        until = self._until
-        if until is not None and time_s > until:
-            return False
-        next_time_s = self._queue.peek_time()
-        if next_time_s is not None and time_s >= next_time_s:
-            return False
-        clock = self.clock
-        if not (time_s >= clock._now):  # NaN fails every comparison
-            return False
-        clock._now = time_s
-        self.dispatched += 1
-        return True
 
     def try_advance_fluid(self, time_s: float, n_events: int) -> bool:
         """Fluid-mode segment jump: advance to *time_s* in one step.

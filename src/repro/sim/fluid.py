@@ -1,8 +1,7 @@
 """Hybrid fluid mode: analytic integration of provably-steady segments.
 
-The batched engine removes heap round-trips but still pays the full
-ingress pipeline per request.  For some segments even that is wasted
-work: when every arrival a generator can produce up to a known horizon
+The engine pays a heap round-trip and the full ingress pipeline per
+request.  For some segments that is wasted work: when every arrival a generator can produce up to a known horizon
 *provably* takes the same terminal path, the segment's effect on every
 model quantity is a closed-form function of the arrival *count* — the
 defining property of a fluid approximation.  The canonical case (and
@@ -28,8 +27,8 @@ lazy-id contract: ids exist only where outcomes diverge, and inside an
 absorbed cohort they provably do not), and the per-arrival interarrival
 draws are replaced by one Poisson count draw per segment.  Fluid runs
 are therefore statistically faithful rather than byte-identical, which
-is why the mode is opt-in (``EventEngine(mode="batched", fluid=True)``)
-and excluded from the golden-equivalence contract.
+is why the mode is opt-in (``EventEngine(fluid=True)``) and excluded
+from the golden tables and byte-identity contracts.
 """
 
 from __future__ import annotations

@@ -69,18 +69,14 @@ class DataCenterSimulation:
         The Table 2 power-management scheme under test; ``None`` runs
         unmanaged (the vulnerability-characterisation arm).
     engine:
-        Pre-built engine to share across facades; overrides
-        *engine_mode*.
-    engine_mode:
-        Execution strategy for a privately-built engine (``"scalar"``
-        or ``"batched"``).  Deliberately not part of
-        :class:`SimulationConfig`: a mode is a way of *evaluating* the
+        Pre-built engine to share across facades; overrides *fluid*.
+    fluid:
+        Opt a privately-built engine into hybrid fluid integration (see
+        :mod:`repro.sim.fluid`).  Statistically faithful, not
+        byte-identical — off by default.  Deliberately not part of
+        :class:`SimulationConfig`: it is a way of *evaluating* the
         model, not a different model, so it must not move config hashes
         or deterministic manifests.
-    fluid:
-        Opt a privately-built batched engine into hybrid fluid
-        integration (see :mod:`repro.sim.fluid`).  Statistically
-        faithful, not byte-identical — off by default.
     """
 
     def __init__(
@@ -88,17 +84,12 @@ class DataCenterSimulation:
         config: SimulationConfig = SimulationConfig(),
         scheme: Optional[PowerManagementScheme] = None,
         engine: Optional[EventEngine] = None,
-        engine_mode: str = "scalar",
         fluid: bool = False,
     ) -> None:
         self.config = config
         # A shared engine lets several data-center instances co-exist in
         # one simulated world (multi-rack facility scenarios).
-        self.engine = (
-            engine
-            if engine is not None
-            else EventEngine(mode=engine_mode, fluid=fluid)
-        )
+        self.engine = engine if engine is not None else EventEngine(fluid=fluid)
         self._seedseq = np.random.SeedSequence(config.seed)
         self.collector = MetricsCollector()
         self.registry = SourceRegistry()

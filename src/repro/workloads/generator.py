@@ -15,7 +15,7 @@ arrival, modelling a load generator reconfiguring between batches.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +35,7 @@ __all__ = [
 Dispatch = Callable[[Request], bool]
 
 #: Minimum expected arrivals in a candidate fluid segment.  Below this
-#: the per-request batched path is at least as cheap as the segment
+#: the per-request path is at least as cheap as the segment
 #: bookkeeping, so the generator does not bother with the jump.
 _FLUID_MIN_EXPECTED_EVENTS = 4.0
 
@@ -140,9 +140,9 @@ class TrafficGenerator:
     def _schedule_next(self) -> None:
         if not self._running:
             return
-        if self.engine.batched:
-            self._advance_batched()
-            return
+        if self.fluid_drain is not None:
+            while self._try_fluid_segment():
+                pass
         gap = self.process.next_interarrival(self.rng, self.engine.now)
         if math.isinf(gap):
             self._running = False
@@ -153,11 +153,6 @@ class TrafficGenerator:
     def _emit(self) -> None:
         if not self._running:
             return
-        self._emit_one()
-        self._schedule_next()
-
-    def _emit_one(self) -> RequestType:
-        """Generate and dispatch one request at the current instant."""
         rtype = self.mix.sample(self.rng)
         source_id = self.source_pool.first_id + self._next_agent
         self._next_agent = (self._next_agent + 1) % self.source_pool.size
@@ -171,64 +166,7 @@ class TrafficGenerator:
         self.generated += 1
         if self.dispatch(request):
             self.accepted += 1
-        return rtype
-
-    def _advance_batched(self) -> None:
-        """Cohort run-ahead: emit consecutive arrivals inline.
-
-        Replays the exact scalar sequence — draw gap, arrive, sample
-        type, dispatch, draw next gap — but advances the clock through
-        :meth:`~repro.sim.engine.EventEngine.try_advance_inline`
-        instead of paying a heap round-trip per arrival.  The inline
-        advance succeeds only while this generator's next arrival
-        provably precedes every queued event, so nothing (completions,
-        control slots, ``stop()`` windows) can interleave mid-run and
-        the RNG draw order is untouched.  The moment that proof fails,
-        the arrival is scheduled as a regular event from the same
-        ``gap`` — the identical float the scalar path would push — and
-        the loop exits.
-
-        Consecutive same-type arrivals within one run form a *cohort*
-        (requests still materialise ids individually at dispatch, where
-        firewall/PDF/service outcomes diverge); the cohort tallies feed
-        the execution counters, which the deterministic manifest
-        excludes.
-        """
-        engine = self.engine
-        clock = engine.clock
-        rng = self.rng
-        fluid = engine.fluid and self.fluid_drain is not None
-        cohort_type: Optional[RequestType] = None
-        cohort_len = 0
-        cohorts = 0
-        cohort_requests = 0
-        while self._running:
-            if fluid and self._try_fluid_segment():
-                continue
-            gap = self.process.next_interarrival(rng, clock._now)
-            if math.isinf(gap):
-                self._running = False
-                self._pending = None
-                break
-            if not engine.try_advance_inline(clock._now + gap):
-                self._pending = engine.schedule(gap, self._emit)
-                break
-            rtype = self._emit_one()
-            if rtype is cohort_type:
-                cohort_len += 1
-            else:
-                if cohort_len:
-                    cohorts += 1
-                    cohort_requests += cohort_len
-                cohort_type = rtype
-                cohort_len = 1
-        if cohort_len:
-            cohorts += 1
-            cohort_requests += cohort_len
-        if cohorts:
-            counters = engine.obs.counters
-            counters.inc("engine.cohorts_dispatched", cohorts)
-            counters.inc("engine.cohort_requests", cohort_requests)
+        self._schedule_next()
 
     def _try_fluid_segment(self) -> bool:
         """Analytically integrate one provably-steady segment.

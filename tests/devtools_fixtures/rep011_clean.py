@@ -17,12 +17,10 @@ def compute_name(kind):
 
 
 def record_aggregate_flow(counters, timers):
-    """The batched/fluid engine's names, all declared in the contract."""
-    counters.inc("engine.cohorts_dispatched")
-    counters.inc("engine.cohort_requests", 4)
+    """The fluid engine's names, all declared in the contract."""
     counters.inc("engine.fluid_segments")
     counters.inc("engine.fluid_time_advanced_s", 0.5)
-    counters.inc("cluster.power_model_vector_evals", 16)
+    counters.inc("cluster.power_model_evals", 16)
     with timers.phase("bench.volume_flood"):
         pass
 

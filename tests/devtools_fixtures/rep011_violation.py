@@ -14,9 +14,9 @@ def record(counters, timers, kind):
 
 
 def record_aggregate_flow(counters, timers):
-    counters.inc("engine.cohort_dispatched")  # VIOLATION: typo of cohorts_dispatched
+    counters.inc("engine.fluid_time_advanced")  # VIOLATION: typo of fluid_time_advanced_s
     counters.inc("engine.fluid_segment")  # VIOLATION: typo of fluid_segments
-    counters.inc("cluster.power_model_vector_eval")  # VIOLATION: typo of vector_evals
+    counters.inc("cluster.power_model_eval")  # VIOLATION: typo of power_model_evals
     with timers.phase("bench.volume_floods"):  # VIOLATION: typo of bench.volume_flood
         pass
 

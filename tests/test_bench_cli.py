@@ -145,7 +145,6 @@ def test_bench_cli_smoke_emits_schema_valid_json(tmp_path, capsys):
     # Default engine is the full-speed fluid path, recorded in the payload.
     assert payload["engine"] == "fluid"
     assert counters["engine.fluid_segments"] > 0
-    assert counters["engine.cohorts_dispatched"] > 0
 
 
 def test_run_bench_counters_deterministic_across_calls():
@@ -163,24 +162,29 @@ def test_run_bench_counters_deterministic_across_calls():
 
 
 def test_bench_engine_env_var_selects_engine(monkeypatch):
-    from repro.bench import BENCH_ENGINE_ENV, bench_engine, resolve_engine
+    from repro.bench import BENCH_ENGINE_ENV, BENCH_ENGINES, bench_engine
+    from repro.sim.engine import resolve_engine_selection
 
+    # One event loop: the per-event engine, optionally with fluid
+    # integration.  Every other name is rejected.
+    assert BENCH_ENGINES == ("scalar", "fluid")
     monkeypatch.delenv(BENCH_ENGINE_ENV, raising=False)
     assert bench_engine() == "fluid"
-    for name in ("scalar", "batched", "fluid"):
+    for name in ("scalar", "fluid"):
         monkeypatch.setenv(BENCH_ENGINE_ENV, name)
         assert bench_engine() == name
-    monkeypatch.setenv(BENCH_ENGINE_ENV, "Batched ")
-    assert bench_engine() == "batched"
+    monkeypatch.setenv(BENCH_ENGINE_ENV, "Scalar ")
+    assert bench_engine() == "scalar"
     monkeypatch.setenv(BENCH_ENGINE_ENV, "turbo")
     with pytest.raises(ValueError, match="REPRO_BENCH_ENGINE"):
         bench_engine()
 
-    assert resolve_engine("scalar") == ("scalar", False)
-    assert resolve_engine("batched") == ("batched", False)
-    assert resolve_engine("fluid") == ("batched", True)
+    assert resolve_engine_selection("scalar") is False
+    assert resolve_engine_selection("fluid") is True
     with pytest.raises(ValueError, match="engine"):
-        resolve_engine("turbo")
+        resolve_engine_selection("turbo")
+    with pytest.raises(SystemExit):
+        main(["bench", "--engine", "turbo"])
 
 
 def test_support_runner_follows_bench_engine(monkeypatch):
@@ -196,10 +200,10 @@ def test_support_runner_follows_bench_engine(monkeypatch):
 
     monkeypatch.setenv(BENCH_ENGINE_ENV, "scalar")
     sim = _support.run_attack_scenario(duration=5.0, attack=False)
-    assert sim.engine.mode == "scalar" and not sim.engine.fluid
+    assert not sim.engine.fluid
     monkeypatch.setenv(BENCH_ENGINE_ENV, "fluid")
     sim = _support.run_attack_scenario(duration=5.0, attack=False)
-    assert sim.engine.mode == "batched" and sim.engine.fluid
+    assert sim.engine.fluid
     # An explicit argument wins over the environment.
-    sim = _support.run_attack_scenario(duration=5.0, attack=False, engine="batched")
-    assert sim.engine.mode == "batched" and not sim.engine.fluid
+    sim = _support.run_attack_scenario(duration=5.0, attack=False, engine="scalar")
+    assert not sim.engine.fluid

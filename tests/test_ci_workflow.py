@@ -3,7 +3,7 @@
 The pinned dev container has no ``actionlint``, so this suite is the
 schema check keeping the workflow honest: it must parse as YAML, define
 the five jobs the repo's CI contract names (lint, test matrix,
-bench-smoke, golden equivalence, topology equivalence), run the *same*
+bench-smoke, paper figures, topology equivalence), run the *same*
 gate script a developer runs locally, cover the supported Python matrix
 with pip caching keyed on both packaging manifests, and cancel
 superseded runs of the same ref.
@@ -50,7 +50,7 @@ def test_workflow_defines_the_five_contract_jobs(workflow):
         "lint",
         "test",
         "bench-smoke",
-        "equivalence",
+        "figures",
         "topology-equivalence",
     }
 
@@ -120,28 +120,22 @@ def test_test_job_uploads_junit_reports(workflow):
     assert uploads and uploads[0]["with"]["path"] == "test-reports/"
 
 
-def test_equivalence_job_runs_suite_and_two_worker_cross_check(workflow):
-    runs = _run_lines(workflow["jobs"]["equivalence"])
-    assert "tests/test_batched_equivalence.py" in runs
-    assert "tests/test_property_equivalence.py" in runs
-    # Cross-engine identity must exercise the process pool too.
-    assert "REPRO_BENCH_ENGINE=scalar" in runs
-    assert "REPRO_BENCH_ENGINE=batched" in runs
-    assert runs.count("--workers 2") == 2
-    assert "diff sweep_scalar.txt sweep_batched.txt" in runs
+def test_figures_job_runs_the_benchmark_suite(workflow):
+    runs = _run_lines(workflow["jobs"]["figures"])
+    # The paper's figure, table and headline-claim assertions.
+    assert "python -m pytest -q benchmarks" in runs
 
 
 def test_topology_equivalence_job_runs_suite_and_tree_cross_check(workflow):
     runs = _run_lines(workflow["jobs"]["topology-equivalence"])
     # The flat-identity + headline-scenario suite.
     assert "tests/test_topology_equivalence.py" in runs
-    # The tree preset must cross-check both engines over worker
-    # processes, mirroring the flat equivalence job's sweep contract.
-    assert "REPRO_BENCH_ENGINE=scalar" in runs
-    assert "REPRO_BENCH_ENGINE=batched" in runs
+    # The tree preset swept serially and over worker processes must
+    # print the same table.
     assert runs.count("--topology tree-small") == 2
-    assert runs.count("--workers 2") == 2
-    assert "diff sweep_tree_scalar.txt sweep_tree_batched.txt" in runs
+    assert runs.count("--workers 1") == 1
+    assert runs.count("--workers 2") == 1
+    assert "diff sweep_tree_serial.txt sweep_tree_parallel.txt" in runs
 
 
 def test_bench_smoke_job_runs_bench_and_regression_gate(workflow):

@@ -16,11 +16,10 @@ from repro import (
     BudgetLevel,
     CappingScheme,
     DataCenterSimulation,
-    OnlineDetectScheme,
     SimulationConfig,
 )
 from repro.analysis import DopeRegionAnalyzer, GridSweep
-from repro.analysis.export import detector_summary, meter_to_csv, records_to_csv
+from repro.analysis.export import meter_to_csv, records_to_csv
 from repro.faults import run_chaos, validate_chaos_payload
 from repro.obs import Recorder
 from repro.workloads import COLLA_FILT, K_MEANS, TEXT_CONT, get_type, uniform_mix
@@ -170,41 +169,6 @@ def test_online_detect_region_sweep_parallel_byte_identical_to_serial():
     ]
 
 
-def test_online_detect_scalar_batched_byte_identical():
-    """OnlineDetect under the batched engine == scalar, byte for byte.
-
-    The detector taps arrivals inside the forwarding policy and scores
-    on control-slot boundaries; both paths must be execution-mode
-    invariant, like every other scheme.
-    """
-
-    def run(mode):
-        sim = DataCenterSimulation(
-            SimulationConfig(budget_level=BudgetLevel.LOW, seed=7),
-            scheme=OnlineDetectScheme(),
-            engine_mode=mode,
-        )
-        sim.add_normal_traffic(rate_rps=40)
-        sim.add_flood(mix=ATTACK, rate_rps=200, num_agents=10, start_s=15)
-        sim.run(60.0)
-        records = io.StringIO()
-        records_to_csv(sim.collector.records, records)
-        meter = io.StringIO()
-        meter_to_csv(sim.meter, meter)
-        report = json.dumps(
-            detector_summary(sim.scheme), sort_keys=True, allow_nan=False
-        )
-        return (
-            records.getvalue().encode()
-            + b"\x00"
-            + meter.getvalue().encode()
-            + b"\x00"
-            + report.encode()
-        )
-
-    assert run("scalar") == run("batched")
-
-
 def test_prediction_region_sweep_parallel_byte_identical_to_serial():
     """The prediction-armed fig11 sweep is worker-count invariant too.
 
@@ -223,43 +187,6 @@ def test_prediction_region_sweep_parallel_byte_identical_to_serial():
     parallel = analyzer.sweep(REGION_TYPES, REGION_RATES, workers=4)
     assert repr(parallel.as_rows()) == repr(serial.as_rows())
     assert [c.zone for c in parallel.cells] == [c.zone for c in serial.cells]
-
-
-def test_prediction_scalar_batched_byte_identical():
-    """Prediction under the batched engine == scalar, byte for byte.
-
-    The predictor observes measured power on control-slot boundaries
-    and retunes the admission filter's refill rate mid-run; both paths
-    must be execution-mode invariant, like every other scheme — down to
-    the JSON-serialised predictor report.
-    """
-    from repro import PredictionScheme
-
-    def run(mode):
-        sim = DataCenterSimulation(
-            SimulationConfig(budget_level=BudgetLevel.LOW, seed=7),
-            scheme=PredictionScheme(),
-            engine_mode=mode,
-        )
-        sim.add_normal_traffic(rate_rps=40)
-        sim.add_flood(mix=ATTACK, rate_rps=200, num_agents=10, start_s=15)
-        sim.run(60.0)
-        records = io.StringIO()
-        records_to_csv(sim.collector.records, records)
-        meter = io.StringIO()
-        meter_to_csv(sim.meter, meter)
-        report = json.dumps(
-            detector_summary(sim.scheme), sort_keys=True, allow_nan=False
-        )
-        return (
-            records.getvalue().encode()
-            + b"\x00"
-            + meter.getvalue().encode()
-            + b"\x00"
-            + report.encode()
-        )
-
-    assert run("scalar") == run("batched")
 
 
 def test_chaos_parallel_cells_byte_identical_to_serial():

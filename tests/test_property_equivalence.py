@@ -1,46 +1,37 @@
-"""Property tests for the aggregate-flow engine (Hypothesis).
+"""Property tests for request conservation (Hypothesis).
 
-Where ``test_batched_equivalence.py`` pins a fixed scheme × scenario ×
-seed matrix, this suite searches the input space for counterexamples to
-the three invariants the batched refactor rests on:
+Where ``test_fluid_agreement.py`` pins fluid integration against the
+per-event engine on fixed seeds, this suite searches the input space
+for counterexamples to two invariants:
 
-* **conservation** — no engine mode loses or invents requests: every
-  generated request is either finished (in a completion record), still
-  in the system, or was dropped with an attributed cause;
-* **cohort sanity** — cohort bookkeeping never goes negative, and an
-  aggregate completion record cannot be built from a non-positive
-  count;
-* **power-path equality** — the vectorised power evaluation produces
-  the *same IEEE float64* as the scalar ``power_from_counts`` loop for
-  arbitrary worker counts and DVFS levels (exact ``==``, no tolerance:
-  bit-identity is the contract that lets the rack switch paths freely).
+* **conservation** — neither the per-event engine nor fluid integration
+  loses or invents requests: every generated request is either finished
+  (in a completion record), still in the system, or was dropped with an
+  attributed cause;
+* **aggregate records** — a fluid segment's weighted completion record
+  carries its count, and cannot be built from a non-positive count.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DataCenterSimulation, SimulationConfig
-from repro.cluster.dvfs import FrequencyLadder
-from repro.cluster.power_model import PowerEvalTable, ServerPowerModel
 from repro.network.request import CompletionRecord, RequestOutcome
-from repro.obs.contract import EXECUTION_COUNTER_NAMES
 from repro.power import BudgetLevel
 from repro.sim.engine import EventEngine
-from repro.workloads import ALL_TYPES, VOLUME_DOS, TrafficClass, uniform_mix
+from repro.workloads import VOLUME_DOS, TrafficClass
 
 # ----------------------------------------------------------------------
-# Conservation + scalar/batched agreement on random scenarios
+# Conservation on random scenarios
 # ----------------------------------------------------------------------
 
 
-def _run_open_loop(seed, rate_rps, num_agents, mode, fluid=False):
+def _run_open_loop(seed, rate_rps, num_agents, fluid=False):
     cfg = SimulationConfig(
         budget_level=BudgetLevel.LOW, seed=seed, firewall_poll_s=2.0
     )
-    engine = EventEngine(mode=mode, fluid=fluid)
-    sim = DataCenterSimulation(cfg, engine=engine)
+    sim = DataCenterSimulation(cfg, engine=EventEngine(fluid=fluid))
     sim.add_normal_traffic(rate_rps=25.0)
     sim.add_flood(
         mix=VOLUME_DOS,
@@ -71,32 +62,14 @@ def _assert_conserved(sim):
     rate_rps=st.floats(min_value=10.0, max_value=900.0),
     num_agents=st.integers(min_value=1, max_value=12),
 )
-def test_conservation_and_batched_agreement(seed, rate_rps, num_agents):
-    scalar = _run_open_loop(seed, rate_rps, num_agents, mode="scalar")
-    batched = _run_open_loop(seed, rate_rps, num_agents, mode="batched")
-    _assert_conserved(scalar)
-    _assert_conserved(batched)
-
-    def model_counters(sim):
-        return {
-            name: value
-            for name, value in sim.obs.counters.as_dict().items()
-            if name not in EXECUTION_COUNTER_NAMES
-        }
-
-    assert model_counters(scalar) == model_counters(batched)
-
-    # Cohort bookkeeping never goes negative, and every cohort holds at
-    # least one request.
-    cohorts = batched.obs.counters.get("engine.cohorts_dispatched")
-    members = batched.obs.counters.get("engine.cohort_requests")
-    assert 0 <= cohorts <= members
+def test_conservation(seed, rate_rps, num_agents):
+    _assert_conserved(_run_open_loop(seed, rate_rps, num_agents))
 
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**20))
 def test_fluid_conservation(seed):
-    sim = _run_open_loop(seed, 3000.0, 4, mode="batched", fluid=True)
+    sim = _run_open_loop(seed, 3000.0, 4, fluid=True)
     _assert_conserved(sim)
     assert sim.obs.counters.get("engine.fluid_time_advanced_s") >= 0.0
 
@@ -129,65 +102,3 @@ def test_aggregate_record_rejects_nonpositive_counts(count):
             RequestOutcome.DROPPED_FIREWALL,
             12.5,
         )
-
-
-# ----------------------------------------------------------------------
-# Scalar vs vectorised power evaluation: exact float equality
-# ----------------------------------------------------------------------
-
-
-def _fresh_table():
-    model = ServerPowerModel()
-    ladder = FrequencyLadder()
-    table = PowerEvalTable(model, ladder)
-    for rtype in ALL_TYPES:
-        table.slot_of(rtype)
-    return model, ladder, table
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_power_from_counts_matches_vector_evaluation_exactly(data):
-    model, ladder, table = _fresh_table()
-    num_slots = len(table.registry)
-    level = data.draw(
-        st.integers(min_value=0, max_value=ladder.max_level), label="level"
-    )
-    counts = data.draw(
-        st.lists(
-            st.integers(min_value=0, max_value=64),
-            min_size=num_slots,
-            max_size=num_slots,
-        ),
-        label="counts",
-    )
-
-    scalar = model.power_from_counts(
-        counts, table.factor_row(level), table.idle_power_at(level)
-    )
-
-    # The rack's vectorised accumulation for one server: slot-ordered
-    # count*factor terms over the dense matrix, then idle + per-worker
-    # scaling — must be the *same float*, not merely close.
-    factor_matrix = table.factor_matrix()
-    dyn = np.zeros(1)
-    counts_arr = np.asarray(counts, dtype=float).reshape(1, num_slots)
-    levels = np.asarray([level], dtype=np.intp)
-    for i in range(num_slots):
-        dyn += counts_arr[:, i] * factor_matrix[i, levels]
-    vector = float(table.idle_array()[levels][0] + model._per_worker * dyn[0])
-    assert vector == scalar
-
-
-def test_rack_vector_power_matches_scalar_sum_after_traffic():
-    """End-to-end: a populated 20-server rack agrees path for path."""
-    cfg = SimulationConfig(budget_level=BudgetLevel.LOW, seed=11, num_servers=20)
-    engine = EventEngine(mode="batched")
-    sim = DataCenterSimulation(cfg, engine=engine)
-    sim.add_normal_traffic(rate_rps=80.0, mix=uniform_mix(ALL_TYPES))
-    sim.run(6.0)
-    rack = sim.rack
-    scalar_total = sum(s.current_power() for s in rack.servers)
-    assert rack.total_power_vector() == scalar_total
-    # And the dispatching wrapper picks the vector path at this size.
-    assert rack.total_power() == scalar_total
