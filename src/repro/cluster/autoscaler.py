@@ -61,8 +61,9 @@ class AutoScaler:
     Parameters
     ----------
     engine, rack, nlb:
-        Simulation wiring.  The scaler mutates ``nlb.servers`` so the
-        balancer only routes to in-rotation nodes.
+        Simulation wiring.  The scaler replaces the balancer's
+        rotation (``nlb.set_servers``) so it only routes to in-rotation
+        nodes.
     min_active, max_active:
         Bounds on the active set (defaults: 1 … all servers).
     high_util, low_util:
@@ -200,7 +201,7 @@ class AutoScaler:
         self._draining = still
 
     def _sync_rotation(self) -> None:
-        self.nlb.servers[:] = self.active
+        self.nlb.set_servers(self.active)
 
     @property
     def num_active(self) -> int:

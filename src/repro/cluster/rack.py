@@ -15,6 +15,7 @@ from typing import Callable, Iterable, List, Optional, Sequence
 import numpy as np
 
 from .._validation import check_int, require
+from ..network.load_balancer import HealthyPool
 from ..sim.engine import EventEngine
 from .dvfs import FrequencyLadder
 from .power_model import PowerEvalTable, ServerPowerModel
@@ -77,6 +78,7 @@ class Rack:
             )
             for i in range(num_servers)
         ]
+        self._healthy = HealthyPool(self.servers)
 
     # ------------------------------------------------------------------
     # Aggregate views
@@ -137,13 +139,13 @@ class Rack:
     # Health
     # ------------------------------------------------------------------
     def healthy_servers(self) -> List[Server]:
-        """Servers currently able to accept traffic."""
-        return [s for s in self.servers if s.healthy]
+        """Servers currently able to accept traffic (a shared list)."""
+        return self._healthy.members()
 
     @property
     def num_healthy(self) -> int:
         """Count of healthy servers."""
-        return sum(1 for s in self.servers if s.healthy)
+        return len(self._healthy.members())
 
     # ------------------------------------------------------------------
     # Bulk DVFS operations

@@ -125,11 +125,13 @@ class Server:
         self.queue_timeout_s = queue_timeout_s
 
         self.level = self.ladder.max_level
+        # Health changes only through the three mutators below
+        # (set_powered, fail, recover); each bumps the engine's
+        # ``health_epoch`` so cached healthy pools know to refresh.
         self.powered_on = True
         self.failed = False
         #: Plain attribute (kept in sync by the three health mutators)
-        #: so the NLB's per-dispatch health scan is one load, not a
-        #: property call.
+        #: so a pool refresh reads one load per server, not a property.
         self.healthy = True
         self._queue: Deque[Request] = deque()
         self._active: Dict[int, _ActiveEntry] = {}
@@ -363,6 +365,7 @@ class Server:
         self._accrue()
         self.powered_on = on
         self.healthy = on and not self.failed
+        self.engine.health_epoch += 1
         self._power_dirty = True
 
     # ------------------------------------------------------------------
@@ -385,6 +388,9 @@ class Server:
         self._accrue()
         self.failed = True
         self.healthy = False
+        # Bumped before the shed below: re-routed requests must already
+        # see this server out of every healthy pool.
+        self.engine.health_epoch += 1
         self.crashes += 1
         self._counters.inc("cluster.server_failures")
         now = self._clock._now
@@ -416,6 +422,7 @@ class Server:
         self._accrue()
         self.failed = False
         self.healthy = self.powered_on
+        self.engine.health_epoch += 1
         self._power_dirty = True
         self._counters.inc("cluster.server_recoveries")
 

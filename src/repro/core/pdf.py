@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 from .._validation import check_int, require
 from ..cluster.server import Server
-from ..network.load_balancer import RoundRobinPolicy
+from ..network.load_balancer import HealthyPool, RoundRobinPolicy
 from ..network.request import Request
 from ..obs import Recorder
 from .suspect_list import SuspectList
@@ -78,6 +78,8 @@ class PDFPolicy:
         self.innocent_pool, self.suspect_pool = split_pools(
             servers, suspect_pool_size
         )
+        self._innocent_live = HealthyPool(self.innocent_pool, self.suspect_pool)
+        self._suspect_live = HealthyPool(self.suspect_pool, self.innocent_pool)
         self._innocent_rr = RoundRobinPolicy()
         self._suspect_rr = RoundRobinPolicy()
         self._obs = obs if obs is not None else Recorder()
@@ -95,27 +97,19 @@ class PDFPolicy:
         availability), and the NLB's retry path handles a fully-dead
         rack before this policy ever sees the request.
         """
-        if self.suspect_list.is_suspect(request.url):
-            pool = self._alive(self.suspect_pool, self.innocent_pool)
+        counters = self._obs.counters
+        suspect = self.suspect_list.is_suspect(request.url)
+        live = self._suspect_live if suspect else self._innocent_live
+        pool = live.members()
+        if live.failed_over:
+            counters.inc("network.pdf_failover_forwarded")
+        if suspect:
             self.suspect_forwarded += 1
-            self._obs.counters.inc("network.pdf_suspect_forwarded")
+            counters.inc("network.pdf_suspect_forwarded")
             return self._suspect_rr.select(request, pool)
-        pool = self._alive(self.innocent_pool, self.suspect_pool)
         self.innocent_forwarded += 1
-        self._obs.counters.inc("network.pdf_innocent_forwarded")
+        counters.inc("network.pdf_innocent_forwarded")
         return self._innocent_rr.select(request, pool)
-
-    def _alive(
-        self, preferred: Sequence[Server], fallback: Sequence[Server]
-    ) -> Sequence[Server]:
-        """Healthy members of *preferred*, else failover to *fallback*."""
-        if all(s.healthy for s in preferred):
-            return preferred
-        alive = [s for s in preferred if s.healthy]
-        if alive:
-            return alive
-        self._obs.counters.inc("network.pdf_failover_forwarded")
-        return [s for s in fallback if s.healthy]
 
     @property
     def suspect_server_ids(self) -> List[int]:

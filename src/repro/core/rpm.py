@@ -22,6 +22,7 @@ from typing import Callable, List, Optional, Sequence
 
 from .._validation import check_fraction, check_positive
 from ..cluster.server import Server
+from ..network.load_balancer import HealthyPool
 from ..power.battery import Battery
 from ..power.budget import PowerBudget
 from ..power.manager import append_decision
@@ -101,6 +102,8 @@ class RequestAwarePowerManager:
         check_fraction("recharge_headroom_fraction", recharge_headroom_fraction)
         self.suspect_pool = list(suspect_pool)
         self.innocent_pool = list(innocent_pool)
+        self._suspect_live = HealthyPool(self.suspect_pool)
+        self._innocent_live = HealthyPool(self.innocent_pool)
         self.budget = budget
         self.battery = battery
         ladder = self.suspect_pool[0].ladder
@@ -159,8 +162,8 @@ class RequestAwarePowerManager:
         if deficit > 0:
             self.stats.violations += 1
 
-        suspect_alive = [s for s in self.suspect_pool if s.healthy]
-        innocent_alive = [s for s in self.innocent_pool if s.healthy]
+        suspect_alive = self._suspect_live.members()
+        innocent_alive = self._innocent_live.members()
         if len(suspect_alive) < len(self.suspect_pool) or len(
             innocent_alive
         ) < len(self.innocent_pool):

@@ -40,12 +40,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .._validation import check_positive
 from ..workloads.catalog import RequestType
 
-__all__ = ["SourceFeatures", "StreamingFeatureExtractor"]
+__all__ = ["FeatureVector", "SourceFeatures", "StreamingFeatureExtractor"]
+
+#: One source's features as a plain tuple, in ``SourceFeatures`` field
+#: order: (rate_rps, burstiness, entropy_bits, power_w).
+FeatureVector = Tuple[float, float, float, float]
 
 #: Calibration gain clamp.  The gain rescales attributed power by the
 #: ratio of sensed to modelled rack power; under ``meter_noise`` it
@@ -103,8 +107,7 @@ class _SourceWindow:
         self.count *= factor
         self.energy_j *= factor
         self.gap_samples *= factor
-        for slot in range(len(self.type_counts)):
-            self.type_counts[slot] *= factor
+        self.type_counts = [count * factor for count in self.type_counts]
         self.last_touch_s = now
 
 
@@ -124,8 +127,10 @@ class StreamingFeatureExtractor:
     energy_of:
         Per-request energy estimate (joules at full frequency) used for
         power attribution — the scheme wires the rack power model's
-        ``energy_per_request`` here, the same hook the static suspect
-        list profiles offline.
+        ``energy_per_request(rtype, 1.0)`` here, the same hook the
+        static suspect list profiles offline.  It must be a pure
+        function of the type: its value is computed once per type name
+        and cached.
     """
 
     def __init__(
@@ -143,6 +148,7 @@ class StreamingFeatureExtractor:
         }
         self._num_types = len(self._slot_of)
         self._energy_of = energy_of
+        self._energy_by_name: Dict[str, float] = {}
         self._gain = 1.0
         self.gain_clamped = False
         self._windows: Dict[int, _SourceWindow] = {}
@@ -174,9 +180,13 @@ class StreamingFeatureExtractor:
         self, source_id: int, rtype: RequestType, now: float
     ) -> None:
         """Attribute one served request's energy back to its source."""
+        energy_j = self._energy_by_name.get(rtype.name)
+        if energy_j is None:
+            energy_j = float(self._energy_of(rtype))
+            self._energy_by_name[rtype.name] = energy_j
         window = self._window(source_id, now)
         window.decay_to(now, self.tau_s)
-        window.energy_j += float(self._energy_of(rtype))
+        window.energy_j += energy_j
 
     def set_calibration(self, gain: float) -> None:
         """Rescale attributed power by the sensed/modelled ratio.
@@ -203,29 +213,39 @@ class StreamingFeatureExtractor:
 
     def features(self, source_id: int, now: float) -> SourceFeatures:
         """The source's feature vector at *now* (windows decayed first)."""
+        return SourceFeatures(*self.feature_vector(source_id, now))
+
+    def feature_vector(self, source_id: int, now: float) -> FeatureVector:
+        """:meth:`features` as a plain 4-tuple, in ``as_tuple`` order."""
+        tau_s = self.tau_s
         window = self._window(source_id, now)
-        window.decay_to(now, self.tau_s)
-        rate = window.count / self.tau_s
+        window.decay_to(now, tau_s)
         burstiness = 0.0
         # Guard on the *squared* mean: a subnormal gap mean (~1e-200)
         # is positive while its square underflows to exactly 0.0.
-        mean_sq = window.gap_mean_s * window.gap_mean_s
+        gap_mean_s = window.gap_mean_s
+        mean_sq = gap_mean_s * gap_mean_s
         if window.gap_samples > 0.0 and mean_sq > 0.0:
-            variance = max(0.0, window.gap_sq_mean_s2 - mean_sq)
+            # max(0.0, x), spelled as the comparison: NaN and -0.0 map
+            # to 0.0 exactly as max() maps them.
+            variance = window.gap_sq_mean_s2 - mean_sq
+            if not variance > 0.0:
+                variance = 0.0
             burstiness = variance / mean_sq
-        total = sum(window.type_counts)
+        counts = window.type_counts
+        total = sum(counts)
         entropy = 0.0
         if total > 0.0:
-            for count in window.type_counts:
+            log2 = math.log2
+            for count in counts:
                 if count > 0.0:
                     p = count / total
-                    entropy -= p * math.log2(p)
-        power_w = self._gain * window.energy_j / self.tau_s
-        return SourceFeatures(
-            rate_rps=rate,
-            burstiness=burstiness,
-            entropy_bits=entropy,
-            power_w=power_w,
+                    entropy -= p * log2(p)
+        return (
+            window.count / tau_s,
+            burstiness,
+            entropy,
+            self._gain * window.energy_j / tau_s,
         )
 
     def forget(self, source_id: int) -> None:

@@ -32,7 +32,7 @@ import math
 from typing import Dict, Tuple
 
 from .._validation import check_int, check_positive, require
-from .features import SourceFeatures
+from .features import FeatureVector, SourceFeatures
 
 __all__ = ["OnlineAnomalyModel"]
 
@@ -41,6 +41,60 @@ __all__ = ["OnlineAnomalyModel"]
 #: otherwise turn an infinitesimal deviation into an unbounded z-score.
 _MIN_STD_FRACTION = 0.05
 _MIN_STD_ABS = 1e-6
+
+Moments = Tuple[float, ...]
+
+
+def _z(value: float, mean: float, sq_mean: float) -> float:
+    """``|value - mean|`` in units of the floored population spread.
+
+    Each ``max`` of the formula is spelled as the comparison ``max``
+    performs, so NaN and -0.0 resolve exactly as ``max`` resolves them.
+    """
+    variance = sq_mean - mean * mean
+    if not variance > 0.0:  # max(0.0, variance)
+        variance = 0.0
+    std = math.sqrt(variance)
+    floor = _MIN_STD_FRACTION * abs(mean)
+    if not floor > _MIN_STD_ABS:  # max(_MIN_STD_ABS, floor)
+        floor = _MIN_STD_ABS
+    if floor > std:  # max(std, floor)
+        std = floor
+    return abs(value - mean) / std
+
+
+def _score(vec: FeatureVector, mean: Moments, sq_mean: Moments) -> float:
+    """Mean absolute z of *vec* against the moments (0.0 before any)."""
+    if not mean:
+        return 0.0
+    v0, v1, v2, v3 = vec
+    m0, m1, m2, m3 = mean
+    s0, s1, s2, s3 = sq_mean
+    return (
+        _z(v0, m0, s0) + _z(v1, m1, s1) + _z(v2, m2, s2) + _z(v3, m3, s3)
+    ) / 4
+
+
+def _fold(
+    vec: FeatureVector, mean: Moments, sq_mean: Moments, decay: float
+) -> Tuple[Moments, Moments]:
+    """The moments after folding *vec* in (the first vector seeds them)."""
+    v0, v1, v2, v3 = vec
+    if not mean:
+        return (v0, v1, v2, v3), (v0 * v0, v1 * v1, v2 * v2, v3 * v3)
+    d = decay
+    e = 1.0 - d
+    m0, m1, m2, m3 = mean
+    s0, s1, s2, s3 = sq_mean
+    return (
+        (d * m0 + e * v0, d * m1 + e * v1, d * m2 + e * v2, d * m3 + e * v3),
+        (
+            d * s0 + e * v0 * v0,
+            d * s1 + e * v1 * v1,
+            d * s2 + e * v2 * v2,
+            d * s3 + e * v3 * v3,
+        ),
+    )
 
 
 class OnlineAnomalyModel:
@@ -97,33 +151,14 @@ class OnlineAnomalyModel:
     # ------------------------------------------------------------------
     def observe(self, features: SourceFeatures) -> None:
         """Fold one feature vector into the population moments."""
-        vec = features.as_tuple()
-        if not self._mean:
-            self._mean = tuple(vec)
-            self._sq_mean = tuple(v * v for v in vec)
-        else:
-            d = self.decay
-            self._mean = tuple(
-                d * m + (1.0 - d) * v for m, v in zip(self._mean, vec)
-            )
-            self._sq_mean = tuple(
-                d * s + (1.0 - d) * v * v for s, v in zip(self._sq_mean, vec)
-            )
+        self._mean, self._sq_mean = _fold(
+            features.as_tuple(), self._mean, self._sq_mean, self.decay
+        )
         self.observations += 1
 
     def score(self, features: SourceFeatures) -> float:
         """Anomaly score: mean absolute z across the feature vector."""
-        if not self._mean:
-            return 0.0
-        vec = features.as_tuple()
-        total = 0.0
-        for value, mean, sq_mean in zip(vec, self._mean, self._sq_mean):
-            variance = max(0.0, sq_mean - mean * mean)
-            std = math.sqrt(variance)
-            floor = max(_MIN_STD_ABS, _MIN_STD_FRACTION * abs(mean))
-            std = max(std, floor)
-            total += abs(value - mean) / std
-        return total / len(vec)
+        return _score(features.as_tuple(), self._mean, self._sq_mean)
 
     # ------------------------------------------------------------------
     # Verdicts
@@ -134,21 +169,26 @@ class OnlineAnomalyModel:
         return self.observations >= self.warmup_observations
 
     def update(self, source_id: int, features: SourceFeatures) -> bool:
-        """Score *source_id*, fold the vector in, return the verdict.
+        """Score *source_id*, fold the vector in, return the verdict."""
+        return self.update_vector(source_id, features.as_tuple())
+
+    def update_vector(self, source_id: int, vector: FeatureVector) -> bool:
+        """:meth:`update` on a plain feature tuple.
 
         Scoring happens against the moments *before* this vector is
         absorbed, so a source never dilutes the baseline it is being
         judged against within the same call.  The verdict applies
         warm-up and the enter/exit hysteresis band.
         """
-        value = self.score(features)
-        self.observe(features)
+        mean, sq_mean = self._mean, self._sq_mean
+        value = _score(vector, mean, sq_mean)
+        self._mean, self._sq_mean = _fold(vector, mean, sq_mean, self.decay)
+        self.observations += 1
         self.last_scores[source_id] = value
-        if not self.warmed_up:
+        if self.observations < self.warmup_observations:
             self._suspects[source_id] = False
             return False
-        currently = self._suspects.get(source_id, False)
-        if currently:
+        if self._suspects.get(source_id, False):
             verdict = value >= self.exit_threshold
         else:
             verdict = value >= self.enter_threshold

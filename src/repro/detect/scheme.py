@@ -34,7 +34,7 @@ from ..cluster.server import Server
 from ..core.dpm import DPMPlanner
 from ..core.pdf import split_pools
 from ..core.rpm import RequestAwarePowerManager
-from ..network.load_balancer import RoundRobinPolicy
+from ..network.load_balancer import HealthyPool, RoundRobinPolicy
 from ..network.request import Request, RequestOutcome
 from ..obs import Recorder
 from ..power.manager import PowerManagementScheme
@@ -73,6 +73,8 @@ class DynamicSuspectPolicy:
         self.innocent_pool = list(innocent_pool)
         self.suspect_pool = list(suspect_pool)
         self.suspect_sources: FrozenSet[int] = frozenset()
+        self._innocent_live = HealthyPool(self.innocent_pool, self.suspect_pool)
+        self._suspect_live = HealthyPool(self.suspect_pool, self.innocent_pool)
         self._now = now
         self._innocent_rr = RoundRobinPolicy()
         self._suspect_rr = RoundRobinPolicy()
@@ -94,27 +96,20 @@ class DynamicSuspectPolicy:
         self.extractor.observe_arrival(
             request.source_id, request.rtype, self._now()
         )
-        self._obs.counters.inc("detect.arrivals_observed")
-        if request.source_id in self.suspect_sources:
-            pool = self._alive(self.suspect_pool, self.innocent_pool)
+        counters = self._obs.counters
+        counters.inc("detect.arrivals_observed")
+        suspect = request.source_id in self.suspect_sources
+        live = self._suspect_live if suspect else self._innocent_live
+        pool = live.members()
+        if live.failed_over:
+            counters.inc("detect.failover_forwarded")
+        if suspect:
             self.suspect_forwarded += 1
-            self._obs.counters.inc("detect.suspect_forwarded")
+            counters.inc("detect.suspect_forwarded")
             return self._suspect_rr.select(request, pool)
-        pool = self._alive(self.innocent_pool, self.suspect_pool)
         self.innocent_forwarded += 1
-        self._obs.counters.inc("detect.innocent_forwarded")
+        counters.inc("detect.innocent_forwarded")
         return self._innocent_rr.select(request, pool)
-
-    def _alive(
-        self, preferred: Sequence[Server], fallback: Sequence[Server]
-    ) -> Sequence[Server]:
-        if all(s.healthy for s in preferred):
-            return preferred
-        alive = [s for s in preferred if s.healthy]
-        if alive:
-            return alive
-        self._obs.counters.inc("detect.failover_forwarded")
-        return [s for s in fallback if s.healthy]
 
     @property
     def suspect_server_ids(self) -> List[int]:
@@ -326,11 +321,10 @@ class OnlineDetectScheme(PowerManagementScheme):
         now = self.engine.now
         counters = self.engine.obs.counters
         self._calibrate(counters)
+        features, update = self.extractor.features, self.model.update
         suspects = set()
         for source_id in self.extractor.sources():
-            feats = self.extractor.features(source_id, now)
-            verdict = self.model.update(source_id, feats)
-            if verdict:
+            if update(source_id, features(source_id, now)):
                 suspects.add(source_id)
         previous = self.policy.suspect_sources
         entered = len(suspects - previous)

@@ -4,6 +4,7 @@ from .anomaly import AggregateAnomalyDetector, AnomalyAlarm
 from .fabric import FlowletEcmpFabric, ecmp_path, splitmix64
 from .firewall import NullFirewall, RateLimitFirewall
 from .load_balancer import (
+    HealthyPool,
     LeastLoadedPolicy,
     NetworkLoadBalancer,
     RandomPolicy,
@@ -30,6 +31,7 @@ __all__ = [
     "RateLimitFirewall",
     "NullFirewall",
     "NetworkLoadBalancer",
+    "HealthyPool",
     "RetryPolicy",
     "RoundRobinPolicy",
     "LeastLoadedPolicy",

@@ -29,6 +29,7 @@ __all__ = [
     "LeastLoadedPolicy",
     "RandomPolicy",
     "AdmissionFilter",
+    "HealthyPool",
     "RetryPolicy",
     "NetworkLoadBalancer",
 ]
@@ -124,6 +125,63 @@ class AdmissionFilter(Protocol):
         ...
 
 
+class HealthyPool:
+    """The healthy members of a fixed server pool, cached per health epoch.
+
+    Server health changes only through ``Server.fail``, ``recover`` and
+    ``set_powered``, and each of them bumps its engine's
+    ``health_epoch``.  The pool re-filters its members only when that
+    epoch has moved, so between health changes :meth:`members` is O(1)
+    and returns the *same* list object.  Members keep pool order.
+
+    When every preferred member is down, the pool fails over to the
+    healthy members of *fallback* (which may be empty) and sets
+    :attr:`failed_over`; callers that count failovers read it once per
+    request, so the count is per failed-over request, not per refresh.
+
+    All members, fallback included, must run on one engine.  The
+    returned list is shared: callers must not mutate it.
+    """
+
+    __slots__ = (
+        "failed_over",
+        "_servers",
+        "_fallback",
+        "_engine",
+        "_epoch",
+        "_members",
+    )
+
+    def __init__(
+        self, servers: Sequence[Server], fallback: Sequence[Server] = ()
+    ) -> None:
+        require(len(servers) > 0, "a healthy pool needs at least one server")
+        self._servers: List[Server] = list(servers)
+        self._fallback: List[Server] = list(fallback)
+        self._engine = self._servers[0].engine
+        require(
+            all(s.engine is self._engine for s in self._servers + self._fallback),
+            "pool members must share one engine",
+        )
+        #: Whether :meth:`members` currently answers the fallback's survivors.
+        self.failed_over = False
+        self._epoch = -1
+        self._members: List[Server] = self._servers
+
+    def members(self) -> List[Server]:
+        """Healthy preferred members, else the fallback's survivors."""
+        if self._engine.health_epoch != self._epoch:
+            self._epoch = self._engine.health_epoch
+            alive = [s for s in self._servers if s.healthy]
+            self.failed_over = not alive
+            if self.failed_over:
+                alive = [s for s in self._fallback if s.healthy]
+            elif len(alive) == len(self._servers):
+                alive = self._servers
+            self._members = alive
+        return self._members
+
+
 class NetworkLoadBalancer:
     """Ingress pipeline tying firewall, shaping and forwarding together.
 
@@ -167,7 +225,9 @@ class NetworkLoadBalancer:
         scheduler: Optional[Scheduler] = None,
     ) -> None:
         require(len(servers) > 0, "NLB needs at least one backend")
+        #: Backends in rotation; change them with :meth:`set_servers`.
         self.servers: List[Server] = list(servers)
+        self._pool = HealthyPool(self.servers)
         self.policy: ForwardingPolicy = policy or RoundRobinPolicy()
         self.firewall = firewall
         self.admission_filter = admission_filter
@@ -181,12 +241,16 @@ class NetworkLoadBalancer:
         self.dropped = 0
         self.rerouted = 0
 
-    def _healthy_servers(self) -> List[Server]:
-        """Backends currently in rotation (fast path: everyone healthy)."""
-        for server in self.servers:
-            if not server.healthy:
-                return [s for s in self.servers if s.healthy]
-        return self.servers
+    def set_servers(self, servers: Sequence[Server]) -> None:
+        """Replace the backends in rotation (auto-scaling, carve-outs).
+
+        Edit the rotation only through here: the healthy-backend cache
+        is keyed on server health, not on list contents, so an in-place
+        edit of :attr:`servers` would go unseen.
+        """
+        require(len(servers) > 0, "NLB needs at least one backend")
+        self.servers[:] = servers
+        self._pool = HealthyPool(self.servers)
 
     def dispatch(self, request: Request) -> bool:
         """Run *request* through the ingress pipeline.
@@ -222,7 +286,7 @@ class NetworkLoadBalancer:
 
     def _forward(self, request: Request, now: float) -> bool:
         """Select a healthy backend and submit; retry/drop when none."""
-        healthy = self._healthy_servers()
+        healthy = self._pool.members()
         if not healthy:
             return self._retry_or_drop(request, now)
         server = self.policy.select(request, healthy)

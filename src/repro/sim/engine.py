@@ -127,6 +127,9 @@ class EventEngine:
         self._until: Optional[float] = None
         self.dispatched = 0
         self._serial = 0
+        #: Bumped by every server health change on this engine (see
+        #: :class:`~repro.network.load_balancer.HealthyPool`).
+        self.health_epoch = 0
 
     def next_serial(self) -> int:
         """Next id from this engine's entity counter (0, 1, 2, …).

@@ -150,6 +150,20 @@ def test_bench_smoke_job_runs_bench_and_regression_gate(workflow):
     assert "--phase-threshold 0.5" in runs
 
 
+def test_bench_smoke_job_runs_perfbench_checks(workflow):
+    job = workflow["jobs"]["bench-smoke"]
+    runs = _run_lines(job)
+    # The external benchmark's self-tests need pytest from the dev extras.
+    assert 'pip install -e ".[dev]"' in runs
+    assert "python -m pytest -q perfbench" in runs
+    # A short fleet-128 run: its exit code gates request conservation
+    # and the other output checks on the 128-server workload.
+    assert (
+        "python3 perfbench/run.py --workload fleet-128 --seconds 1 --trace 0"
+        in runs
+    )
+
+
 def test_bench_smoke_job_uploads_bench_telemetry(workflow):
     uploads = [
         step
