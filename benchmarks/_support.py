@@ -24,27 +24,42 @@ from repro import (
 )
 from repro.analysis import DopeRegionAnalyzer
 from repro.runner import ResultCache
-from repro.workloads import TrafficClass
-
-# Scenario constants live in repro.bench (the machine-readable bench
-# driver measures the exact workload these benches assert on); the
-# legacy unsuffixed names are kept as aliases.  Engine selection also
-# comes from repro.bench: one env var (``REPRO_BENCH_ENGINE``) switches
-# both the machine-readable bench and every figure bench between the
-# per-event engine and fluid integration.
-from repro.bench import (
-    ATTACK_MIX,
-    ATTACK_RATE_RPS as ATTACK_RATE,
-    ATTACK_START_S as ATTACK_START,
-    DURATION_S as DURATION,
-    MEASURE_FROM_S as MEASURE_FROM,
-    NORMAL_RATE_RPS as NORMAL_RATE,
-    REGION_RATES_RPS as REGION_RATES,
-    REGION_TYPES,
-    SEED,
-    bench_engine,
+from repro.workloads import (
+    COLLA_FILT,
+    K_MEANS,
+    TEXT_CONT,
+    VOLUME_DOS,
+    WORD_COUNT,
+    TrafficClass,
+    uniform_mix,
 )
-from repro.sim.engine import resolve_engine_selection
+
+#: Master seed of the evaluation scenario.
+SEED = 7
+
+#: Attack onset within the evaluation window.
+ATTACK_START_S = 30.0
+
+#: Start of the steady-state measurement window.
+MEASURE_FROM_S = 60.0
+
+#: Full evaluation-scenario duration.
+DURATION_S = 240.0
+
+# Attack sized at roughly the rack's nominal-frequency service capacity:
+# strong enough that power-fitting DVFS pushes the cluster into overload
+# (the paper's degradation regime) while Normal-PB stays serviceable.
+ATTACK_RATE_RPS = 220.0
+
+#: Legitimate background load of the evaluation scenario.
+NORMAL_RATE_RPS = 40.0
+
+#: The DOPE flood's request mix (high-power catalog types).
+ATTACK_MIX = uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
+
+#: The Fig 11 region-grid axes.
+REGION_TYPES = (COLLA_FILT, K_MEANS, WORD_COUNT, TEXT_CONT, VOLUME_DOS)
+REGION_RATES_RPS = (50.0, 150.0, 300.0, 600.0)
 
 #: The Table 2 scheme matrix.
 SCHEMES = {
@@ -97,43 +112,32 @@ def run_attack_scenario(
     scheme_factory=NullScheme,
     budget: BudgetLevel = BudgetLevel.LOW,
     attack: bool = True,
-    attack_rate: float = ATTACK_RATE,
+    attack_rate: float = ATTACK_RATE_RPS,
     attack_mix=None,
-    normal_rate: float = NORMAL_RATE,
-    duration: float = DURATION,
+    normal_rate: float = NORMAL_RATE_RPS,
+    duration: float = DURATION_S,
     seed: int = SEED,
     config: Optional[SimulationConfig] = None,
-    engine: Optional[str] = None,
 ) -> DataCenterSimulation:
-    """The evaluation scenario: trace-like normal load + DOPE flood.
-
-    *engine* picks the execution engine (``scalar``/``fluid``); the
-    default follows ``REPRO_BENCH_ENGINE``.  These closed-loop floods
-    never satisfy the fluid steadiness proof, so the figure benches'
-    model outputs are exact under either selection and only wall-clock
-    changes.
-    """
+    """The evaluation scenario: trace-like normal load + DOPE flood."""
     cfg = config or SimulationConfig(budget_level=budget, seed=seed)
-    fluid = resolve_engine_selection(
-        engine if engine is not None else bench_engine()
-    )
-    sim = DataCenterSimulation(cfg, scheme=scheme_factory(), fluid=fluid)
+    sim = DataCenterSimulation(cfg, scheme=scheme_factory())
     sim.add_normal_traffic(rate_rps=normal_rate)
     if attack:
         sim.add_flood(
             mix=attack_mix if attack_mix is not None else ATTACK_MIX,
             rate_rps=attack_rate,
             num_agents=20,
-            start_s=ATTACK_START,
+            start_s=ATTACK_START_S,
         )
     sim.run(duration)
     return sim
 
 
-def normal_latency(sim: DataCenterSimulation, start: float = MEASURE_FROM):
+def normal_latency(sim: DataCenterSimulation, start: float = MEASURE_FROM_S):
     """Latency of the legitimate population in the measurement window."""
     return sim.latency_stats(
-        traffic_class=TrafficClass.NORMAL, start_s=start, end_s=DURATION
+        traffic_class=TrafficClass.NORMAL, start_s=start, end_s=DURATION_S
     )
 
 
@@ -141,7 +145,7 @@ _MATRIX_CACHE: Dict[tuple, Dict] = {}
 
 
 def scheme_budget_matrix(
-    duration: float = DURATION, seed: int = SEED
+    duration: float = DURATION_S, seed: int = SEED
 ) -> Dict[str, Dict[BudgetLevel, DataCenterSimulation]]:
     """Run every (scheme × budget) cell of Figs 16/17/19.
 

@@ -15,7 +15,7 @@ from repro import AntiDopeScheme, BudgetLevel
 from repro.analysis import print_table
 from repro.workloads import TrafficClass
 
-from _support import DURATION, MEASURE_FROM, normal_latency, run_attack_scenario
+from _support import DURATION_S, MEASURE_FROM_S, normal_latency, run_attack_scenario
 
 POOL_SIZES = (1, 2, 3)
 
@@ -38,8 +38,8 @@ def test_ablation_pool_size(benchmark):
         light = sim.latency_stats(
             traffic_class=TrafficClass.NORMAL,
             type_name="text-cont",
-            start_s=MEASURE_FROM,
-            end_s=DURATION,
+            start_s=MEASURE_FROM_S,
+            end_s=DURATION_S,
         )
         rows.append(
             (

@@ -10,7 +10,7 @@ the DoS-detecting network capacity".
 from repro.analysis import print_table
 
 from _support import (
-    REGION_RATES as RATES,
+    REGION_RATES_RPS as RATES,
     REGION_TYPES as TYPES,
     bench_cache,
     bench_workers,

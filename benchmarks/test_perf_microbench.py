@@ -18,7 +18,7 @@ from repro.network import NetworkLoadBalancer, Request
 from repro.sim import EventEngine
 from repro.workloads import COLLA_FILT, TEXT_CONT, TrafficClass, alios_mix
 
-from _support import REGION_RATES, REGION_TYPES, fig11_analyzer
+from _support import REGION_RATES_RPS, REGION_TYPES, fig11_analyzer
 
 
 def test_perf_engine_event_throughput(benchmark):
@@ -76,7 +76,7 @@ def _timed_region_sweep(workers):
     """One full Fig 11 region sweep; returns (seconds, result rows)."""
     analyzer = fig11_analyzer(seed=5)
     started = time.perf_counter()
-    result = analyzer.sweep(REGION_TYPES, REGION_RATES, workers=workers)
+    result = analyzer.sweep(REGION_TYPES, REGION_RATES_RPS, workers=workers)
     return time.perf_counter() - started, result.as_rows()
 
 
@@ -115,7 +115,7 @@ def test_perf_parallel_region_sweep_speedup():
     parallel_s, _ = _region_sweep(4)
     speedup = serial_s / parallel_s
     print(
-        f"\nFig 11 region grid ({len(REGION_TYPES) * len(REGION_RATES)} cells): "
+        f"\nFig 11 region grid ({len(REGION_TYPES) * len(REGION_RATES_RPS)} cells): "
         f"serial {serial_s:.2f}s, 4 workers {parallel_s:.2f}s, {speedup:.2f}x"
     )
     assert speedup >= 2.0

@@ -8,8 +8,7 @@
 #   scripts/check.sh --lint-only  just the full REP001-REP012 rule set
 #                                 (fast, well under 10 s)
 #   scripts/check.sh --ci         the same gate, non-interactive: junit
-#                                 XML under test-reports/, plus the
-#                                 smoke bench + baseline comparison
+#                                 XML under test-reports/
 #
 # The GitHub workflow (.github/workflows/ci.yml) runs this script with
 # --ci, so the hosted gate and the local gate are one recipe; a clean
@@ -51,12 +50,6 @@ python -m repro sweep --types colla-filt --rates 60 --window 10 --workers 2
 echo "== 2-worker chaos smoke =="
 python -m repro chaos --smoke --workers 2 --out CHAOS_smoke.json
 rm -f CHAOS_smoke.json
-
-if [ "$MODE" = "--ci" ]; then
-    echo "== smoke bench + baseline comparison =="
-    python -m repro bench --smoke --out BENCH_smoke.json
-    python scripts/bench_compare.py BENCH_baseline.json BENCH_smoke.json
-fi
 
 echo "== tier-1 pytest =="
 # shellcheck disable=SC2086

@@ -20,15 +20,12 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .._validation import check_int, check_positive, require
 from ..detect import make_scheme, validate_scheme_names
 from ..obs import Recorder
 from ..power.budget import BudgetLevel
 from ..runner import CellSpec, ResultCache, canonical_json, run_cells
 from ..sim.config import SimulationConfig
-from ..sim.engine import engine_from_env
 from ..sim.simulation import DataCenterSimulation
 from ..workloads.catalog import RequestType
 
@@ -170,19 +167,17 @@ class DopeRegionAnalyzer:
     def probe(self, rtype: RequestType, rate_rps: float) -> RegionCell:
         """Run one cell and classify it.
 
-        The probe honours ``REPRO_BENCH_ENGINE`` but defaults to
-        ``"scalar"`` rather than fluid: sweep cells are model
-        measurements, and fluid integration is only statistically
-        faithful.
+        The probe runs the plain per-event engine, never fluid: sweep
+        cells are model measurements, and fluid integration is only
+        statistically faithful.
         """
         check_positive("rate_rps", rate_rps)
-        fluid = engine_from_env(default="scalar") == "fluid"
         scheme = (
             make_scheme(self.scheme, self.config)
             if self.scheme is not None
             else None
         )
-        sim = DataCenterSimulation(self.config, scheme=scheme, fluid=fluid)
+        sim = DataCenterSimulation(self.config, scheme=scheme)
         sim.add_normal_traffic(rate_rps=self.background_rate_rps, num_users=50)
         flood = sim.add_flood(
             mix=rtype,

@@ -14,11 +14,6 @@ Three operator-facing commands wrap the library's main workflows:
     The Fig. 11 region grid through the experiment runner: probe cells
     fan out over ``--workers`` processes and an optional ``--cache-dir``
     makes repeat sweeps near-instant.
-``bench``
-    The machine-readable benchmark (``repro-bench/1`` JSON): runs the
-    evaluation scenario plus a cold/warm region sweep and reports the
-    counter table, wall timings and the event-throughput headline CI
-    regression-checks.
 ``chaos``
     The fault-injection sweep (``repro-chaos/1`` JSON): the Table-2
     scheme matrix re-run under a DOPE flood combined with server
@@ -30,9 +25,7 @@ Three operator-facing commands wrap the library's main workflows:
     registries, with text/JSON/SARIF output and a baseline workflow.
 
 All commands are deterministic per ``--seed``; ``sweep`` and ``chaos``
-output is additionally byte-identical for any worker count, and
-``bench``'s counter table (not its wall timings) is deterministic per
-seed.
+output is additionally byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -44,11 +37,9 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .analysis import DopeRegionAnalyzer, format_table
-from .bench import BENCH_ENGINES, SEED as BENCH_SEED
 from .cluster import FLAT_TOPOLOGY, topology_names
 from .detect import PLACEMENTS, SCHEME_NAMES, make_scheme
 from .devtools import lint as devtools_lint
-from .bench import run_bench
 from .faults import run_chaos
 from .power import BudgetLevel
 from .runner import ResultCache
@@ -69,7 +60,6 @@ __all__ = [
     "cmd_compare",
     "cmd_attack",
     "cmd_sweep",
-    "cmd_bench",
     "cmd_chaos",
     "cmd_lint",
     "main",
@@ -256,42 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="on-disk result cache; repeat sweeps reuse stored cells",
     )
     _add_scheme_selector(sweep)
-
-    bench = sub.add_parser(
-        "bench", help="machine-readable benchmark (repro-bench/1 JSON)"
-    )
-    mode = bench.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized bench (seconds; the default)",
-    )
-    mode.add_argument(
-        "--full",
-        action="store_true",
-        help="full evaluation-sized bench (minutes)",
-    )
-    bench.add_argument(
-        "--seed", type=int, default=BENCH_SEED, help="master RNG seed"
-    )
-    bench.add_argument(
-        "--name", default=None, help="payload name (default: bench-<mode>)"
-    )
-    bench.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the JSON payload here (default: stdout)",
-    )
-    bench.add_argument(
-        "--engine",
-        choices=list(BENCH_ENGINES),
-        default=None,
-        help=(
-            "execution engine, scalar|fluid "
-            "(default: $REPRO_BENCH_ENGINE or 'fluid')"
-        ),
-    )
 
     chaos = sub.add_parser(
         "chaos",
@@ -531,24 +485,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench`` — emit the machine-readable benchmark payload."""
-    mode = "full" if args.full else "smoke"
-    name = args.name if args.name else f"bench-{mode}"
-    payload = run_bench(mode=mode, seed=args.seed, name=name, engine=args.engine)
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        headline = payload["headline"]
-        print(
-            f"wrote {args.out}  "
-            f"({headline['metric']}={headline['value']:.0f})"  # type: ignore[index]
-        )
-    else:
-        print(text)
-    return 0
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
     """``repro chaos`` — emit the fault-injection sweep payload."""
     mode = "full" if args.full else "smoke"
@@ -586,7 +522,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "compare": cmd_compare,
         "attack": cmd_attack,
         "sweep": cmd_sweep,
-        "bench": cmd_bench,
         "chaos": cmd_chaos,
         "lint": cmd_lint,
     }

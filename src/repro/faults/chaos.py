@@ -359,10 +359,9 @@ _CELL_REQUIRED = (
 def validate_chaos_payload(payload: object) -> List[str]:
     """Validate a chaos document; return a list of problems (empty = ok).
 
-    Hand-rolled like :func:`repro.obs.manifest.validate_bench_payload`
-    so a bare install needs no schema dependency.  Beyond structure it
-    checks the layer's two contracts: every cell attributes its drops
-    (``dropped == dropped_policy + dropped_fault``) and the document
+    Hand-rolled so a bare install needs no schema dependency.  Beyond
+    structure it checks the layer's two contracts: every cell attributes
+    its drops (``dropped == dropped_policy + dropped_fault``) and the document
     round-trips through strict JSON (``allow_nan=False`` — the NaN
     export bug class).
     """

@@ -9,7 +9,7 @@ analysis layer vectorised.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 

@@ -10,7 +10,7 @@ linear-interpolation definition), never streaming approximations — a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 

@@ -32,13 +32,7 @@ from .contract import (
     is_declared_timer,
 )
 from .counters import Counters
-from .manifest import (
-    BENCH_SCHEMA_ID,
-    RunManifest,
-    config_hash,
-    deterministic_hash,
-    validate_bench_payload,
-)
+from .manifest import RunManifest, config_hash, deterministic_hash
 from .recorder import Recorder
 from .sanitize import jsonable
 from .timers import WallTimers
@@ -53,9 +47,7 @@ __all__ = [
     "WallTimers",
     "Recorder",
     "RunManifest",
-    "BENCH_SCHEMA_ID",
     "config_hash",
     "deterministic_hash",
     "jsonable",
-    "validate_bench_payload",
 ]

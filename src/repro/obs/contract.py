@@ -134,14 +134,6 @@ TIMER_NAMES: FrozenSet[str] = frozenset(
         "runner.run_cells",
         "runner.cell",
         "runner.pool_batch",
-        "bench.attack_scenario",
-        "bench.chaos_scenario",
-        "bench.volume_flood",
-        "bench.tree_topology",
-        "bench.online_detect",
-        "bench.prediction",
-        "bench.region_sweep_cold",
-        "bench.region_sweep_warm",
     }
 )
 

@@ -44,9 +44,9 @@ class Counters:
     def merge(self, other: Union["Counters", Mapping[str, Number]]) -> None:
         """Add another counter table into this one, key by key.
 
-        Used by the bench driver to fold per-phase or per-simulation
-        recorders into one run-level table; addition is commutative, so
-        the merged table is independent of merge order.
+        Folds per-simulation recorders into one run-level table;
+        addition is commutative, so the merged table is independent of
+        merge order.
         """
         table = other.as_dict() if isinstance(other, Counters) else other
         for name, amount in table.items():

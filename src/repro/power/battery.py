@@ -10,8 +10,6 @@ Anti-DOPE schemes differ in Fig. 18.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from .._validation import check_fraction, check_non_negative, check_positive
 
 __all__ = ["Battery"]

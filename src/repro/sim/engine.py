@@ -35,7 +35,6 @@ default.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Callable, Optional
 
 from .._validation import check_non_negative, check_positive
@@ -43,48 +42,7 @@ from ..obs import Recorder
 from .clock import SimulationClock
 from .events import NO_ARG, Event, EventQueue, PRIORITY_WORKLOAD
 
-__all__ = [
-    "EventEngine",
-    "ENGINE_SELECT_ENV",
-    "ENGINE_SELECTIONS",
-    "engine_from_env",
-    "resolve_engine_selection",
-]
-
-#: Environment variable selecting an engine for env-aware entry points
-#: (the bench driver, the figure benches, the region sweep).
-ENGINE_SELECT_ENV = "REPRO_BENCH_ENGINE"
-
-#: Valid engine selections: the per-event engine, or the same engine
-#: with hybrid fluid integration opted in.
-ENGINE_SELECTIONS = ("scalar", "fluid")
-
-
-def engine_from_env(default: str = "fluid") -> str:
-    """The engine selected by ``REPRO_BENCH_ENGINE``, or *default*.
-
-    Entry points differ in their default: the bench driver measures at
-    full speed (``"fluid"``), while exact consumers (the region sweep)
-    default to ``"scalar"``.
-    """
-    value = os.environ.get(ENGINE_SELECT_ENV, "").strip().lower()
-    if not value:
-        return default
-    if value not in ENGINE_SELECTIONS:
-        raise ValueError(
-            f"{ENGINE_SELECT_ENV} must be one of {ENGINE_SELECTIONS}, "
-            f"got {value!r}"
-        )
-    return value
-
-
-def resolve_engine_selection(engine: str) -> bool:
-    """The ``EventEngine`` fluid flag an engine selection name stands for."""
-    if engine not in ENGINE_SELECTIONS:
-        raise ValueError(
-            f"engine must be one of {ENGINE_SELECTIONS}, got {engine!r}"
-        )
-    return engine == "fluid"
+__all__ = ["EventEngine"]
 
 
 class EventEngine:
@@ -93,7 +51,7 @@ class EventEngine:
     Every engine carries a :class:`~repro.obs.Recorder` (``obs``): the
     shared observation context all components wired to this engine
     record into.  Pass one in to share a recorder across several
-    engines (bench phases); the default is a private fresh recorder.
+    engines; the default is a private fresh recorder.
 
     Parameters
     ----------

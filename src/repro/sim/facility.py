@@ -19,7 +19,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from .._validation import check_fraction, check_int, check_positive
 from ..power.hierarchy import FacilityBudgetAllocator, RackAllocation

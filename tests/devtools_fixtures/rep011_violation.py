@@ -17,26 +17,26 @@ def record_aggregate_flow(counters, timers):
     counters.inc("engine.fluid_time_advanced")  # VIOLATION: typo of fluid_time_advanced_s
     counters.inc("engine.fluid_segment")  # VIOLATION: typo of fluid_segments
     counters.inc("cluster.power_model_eval")  # VIOLATION: typo of power_model_evals
-    with timers.phase("bench.volume_floods"):  # VIOLATION: typo of bench.volume_flood
+    with timers.phase("engine.runs"):  # VIOLATION: typo of engine.run
         pass
 
 
 def record_topology(counters, timers, node):
     counters.inc("fabrc.path_switches")  # VIOLATION: typo of the fabric. prefix
     counters.inc(f"topologee.cap_slots.{node}")  # VIOLATION: typo of the topology. prefix
-    with timers.phase("bench.tree_topologies"):  # VIOLATION: typo of bench.tree_topology
+    with timers.phase("runner.run_cell"):  # VIOLATION: typo of runner.run_cells
         pass
 
 
 def record_detection(counters, timers):
     counters.inc("detct.arrivals_observed")  # VIOLATION: typo of the detect. prefix
     counters.inc("detect-quarantine_enters")  # VIOLATION: dash where the detect. prefix has a dot
-    with timers.phase("bench.online_detct"):  # VIOLATION: typo of bench.online_detect
+    with timers.phase("runner.cells"):  # VIOLATION: typo of runner.cell
         pass
 
 
 def record_prediction(counters, timers):
     counters.inc("predit.healthy_slots")  # VIOLATION: typo of the predict. prefix
     counters.inc("predict_soft_cap_slots")  # VIOLATION: underscore where the predict. prefix has a dot
-    with timers.phase("bench.predictions"):  # VIOLATION: typo of bench.prediction
+    with timers.phase("runner.pool_batches"):  # VIOLATION: typo of runner.pool_batch
         pass

@@ -51,8 +51,8 @@ class TestReplanning:
         budgets_before = [sim.budget.supply_w for sim in facility.racks]
         facility.run(10.0)
         # Idle demand ≈ idle floor: allocations shrink to demand.
-        for sim in facility.racks:
-            assert sim.budget.supply_w < 400.0
+        for sim, before in zip(facility.racks, budgets_before):
+            assert sim.budget.supply_w < before
 
     def test_attacked_rack_bids_away_headroom(self):
         facility = make_facility()

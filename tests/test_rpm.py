@@ -44,7 +44,7 @@ class TestControl:
         load_pool(innocent, TEXT_CONT, per_server=2)
         # Load: suspect server at 100 W + 3 innocent at ~43 W = ~230 W.
         rpm = make_rpm(rack, pools, supply_w=220.0)
-        decision = rpm.step(0.0)
+        rpm.step(0.0)
         assert suspect[0].level < 12
         assert all(s.level == 12 for s in innocent)
         assert rpm.current_power() <= 220.0 + 1e-6
@@ -134,7 +134,6 @@ class TestPrediction:
         innocent, suspect = pools
         load_pool(suspect)
         load_pool(innocent, COLLA_FILT, per_server=4)
-        powers = [rpm_power for rpm_power in ()]
         rpm = make_rpm(rack, pools, supply_w=330.0)
         for p in range(0, 12):
             assert rpm.predict(p, 12) <= rpm.predict(p + 1, 12) + 1e-9

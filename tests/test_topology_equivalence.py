@@ -38,11 +38,13 @@ from repro import (
     TokenScheme,
 )
 from repro.analysis.export import records_to_csv, topology_summary
-from repro.bench import ATTACK_MIX
 from repro.cluster import FLAT_TOPOLOGY, topology_names
 from repro.obs import config_hash
 from repro.power import BudgetLevel
-from repro.workloads import COLLA_FILT, K_MEANS, uniform_mix
+from repro.workloads import COLLA_FILT, K_MEANS, WORD_COUNT, uniform_mix
+
+#: The evaluation scenario's DOPE flood mix (high-power catalog types).
+ATTACK_MIX = uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
 
 SCHEMES = {
     "capping": CappingScheme,
