@@ -10,7 +10,7 @@ list and full-load estimates against the analytic ground truth.
 from repro import DataCenterSimulation, NullScheme, SimulationConfig
 from repro.analysis import print_table
 from repro.core import OnlineUrlPowerProfiler, SuspectList
-from repro.workloads import ALL_TYPES, alios_mix
+from repro.workloads import ALL_TYPES
 
 PROFILE_WINDOW_S = 120.0
 

@@ -8,8 +8,6 @@ battery is spent — at a *time-averaged* request rate well below the
 sustained attack the defender provisioned the battery against.
 """
 
-import numpy as np
-
 from repro import BudgetLevel, DataCenterSimulation, ShavingScheme, SimulationConfig
 from repro.analysis import print_table
 from repro.workloads.pulse import PulseAttacker

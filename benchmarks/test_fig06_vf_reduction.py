@@ -11,7 +11,7 @@ import numpy as np
 
 from repro import BudgetLevel, CappingScheme, DataCenterSimulation, SimulationConfig
 from repro.analysis import print_table
-from repro.workloads import COLLA_FILT, K_MEANS, TEXT_CONT, VICTIM_TYPES, WORD_COUNT
+from repro.workloads import COLLA_FILT, K_MEANS, VICTIM_TYPES
 
 RATES = (50.0, 100.0, 200.0, 400.0, 800.0)
 HIGH_RATE = 800.0

@@ -15,7 +15,13 @@ Run:  python examples/defend_with_anti_dope.py
 
 from repro import BudgetLevel, DataCenterSimulation, NullScheme, SimulationConfig
 from repro.analysis import print_table
-from repro.core import DPMPlanner, PDFPolicy, RequestAwarePowerManager, SuspectList
+from repro.core import (
+    DPMPlanner,
+    PDFPolicy,
+    RequestAwarePowerManager,
+    SuspectList,
+    split_pools,
+)
 from repro.sim.events import PRIORITY_CONTROL
 from repro.workloads import (
     ALL_TYPES,
@@ -64,7 +70,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Step 2 — PDF: isolate suspect URLs on one server.
     # ------------------------------------------------------------------
-    pdf = PDFPolicy(suspect_list, sim.rack.servers, suspect_pool_size=1)
+    pdf = PDFPolicy(suspect_list, *split_pools(sim.rack.servers, 1))
     sim.nlb.policy = pdf
     print(f"Step 2: PDF installed; suspect pool = servers {pdf.suspect_server_ids}")
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .._validation import check_fraction, check_int, check_non_negative
+from ..power.manager import HYSTERESIS
 
 __all__ = [
     "ThrottlePlan",
@@ -59,10 +60,12 @@ class DPMPlanner:
         Raise-guard band as a fraction of the cap: a pool level is only
         *raised* when the predicted power stays below
         ``cap × (1 − hysteresis)``, preventing level chatter when the
-        load sits exactly at the budget.
+        load sits exactly at the budget.  Defaults to the
+        :data:`~repro.power.manager.HYSTERESIS` band every V/F controller
+        shares.
     """
 
-    def __init__(self, max_level: int, hysteresis: float = 0.02) -> None:
+    def __init__(self, max_level: int, hysteresis: float = HYSTERESIS) -> None:
         check_int("max_level", max_level, minimum=0)
         check_fraction("hysteresis", hysteresis)
         self.max_level = max_level

@@ -54,8 +54,8 @@ class OracleScheme(CappingScheme):
 
     name = "oracle"
 
-    def __init__(self, hysteresis: float = 0.02) -> None:
-        super().__init__(hysteresis=hysteresis)
+    def __init__(self) -> None:
+        super().__init__()
         self.filter = GroundTruthFilter()
 
     def admission_filter(self) -> Optional[GroundTruthFilter]:

@@ -11,7 +11,9 @@ requests.
 
 :class:`PDFPolicy` implements the NLB :class:`ForwardingPolicy`
 interface, so Anti-DOPE drops into the ingress pipeline exactly where a
-round-robin policy would sit — "minute system modification".
+round-robin policy would sit — "minute system modification".  Its pool
+plumbing lives in :class:`SuspectPoolPolicy`, which OnlineDetect's
+source-keyed policy shares.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .suspect_list import SuspectList
 
 __all__ = [
     "split_pools",
+    "SuspectPoolPolicy",
     "PDFPolicy",
 ]
 
@@ -50,34 +53,33 @@ def split_pools(
     return list(servers[:cut]), list(servers[cut:])
 
 
-class PDFPolicy:
-    """Suspect-aware forwarding policy.
+class SuspectPoolPolicy:
+    """Pool plumbing of a forwarding policy that isolates suspects.
+
+    Holds the two fixed pools, a :class:`HealthyPool` over each (a fully
+    crashed pool fails over to the other pool's survivors), one
+    round-robin per pool and the per-pool forwarded tallies.  Subclasses
+    add the classification and their own ``select``.
 
     Parameters
     ----------
-    suspect_list:
-        Offline URL classification.
-    servers:
-        Full backend pool in rack order.
-    suspect_pool_size:
-        Number of servers isolated for suspect traffic (paper's mini
-        rack isolates 1 of 4 by default).
+    innocent_pool, suspect_pool:
+        The server carve; both must be non-empty.
     obs:
         Observation context recording per-decision counters; defaults
-        to a private recorder (Anti-DOPE passes the engine's at bind).
+        to a private recorder (the schemes pass the engine's at bind).
     """
 
     def __init__(
         self,
-        suspect_list: SuspectList,
-        servers: Sequence[Server],
-        suspect_pool_size: int = 1,
+        innocent_pool: Sequence[Server],
+        suspect_pool: Sequence[Server],
         obs: Optional[Recorder] = None,
     ) -> None:
-        self.suspect_list = suspect_list
-        self.innocent_pool, self.suspect_pool = split_pools(
-            servers, suspect_pool_size
-        )
+        require(len(innocent_pool) > 0, "innocent pool must be non-empty")
+        require(len(suspect_pool) > 0, "suspect pool must be non-empty")
+        self.innocent_pool = list(innocent_pool)
+        self.suspect_pool = list(suspect_pool)
         self._innocent_live = HealthyPool(self.innocent_pool, self.suspect_pool)
         self._suspect_live = HealthyPool(self.suspect_pool, self.innocent_pool)
         self._innocent_rr = RoundRobinPolicy()
@@ -85,6 +87,36 @@ class PDFPolicy:
         self._obs = obs if obs is not None else Recorder()
         self.suspect_forwarded = 0
         self.innocent_forwarded = 0
+
+    @property
+    def suspect_server_ids(self) -> List[int]:
+        """Rack ids of the isolated pool (the DPM throttle targets)."""
+        return [s.server_id for s in self.suspect_pool]
+
+
+class PDFPolicy(SuspectPoolPolicy):
+    """Suspect-aware forwarding by the offline URL suspect list.
+
+    Parameters
+    ----------
+    suspect_list:
+        Offline URL classification.
+    innocent_pool, suspect_pool:
+        The server carve (see :func:`split_pools`; the paper's mini rack
+        isolates 1 of 4).
+    obs:
+        As in :class:`SuspectPoolPolicy`.
+    """
+
+    def __init__(
+        self,
+        suspect_list: SuspectList,
+        innocent_pool: Sequence[Server],
+        suspect_pool: Sequence[Server],
+        obs: Optional[Recorder] = None,
+    ) -> None:
+        super().__init__(innocent_pool, suspect_pool, obs)
+        self.suspect_list = suspect_list
 
     def select(self, request: Request, servers: Sequence[Server]) -> Server:
         """Route by suspect-list classification of the request URL.
@@ -110,11 +142,6 @@ class PDFPolicy:
         self.innocent_forwarded += 1
         counters.inc("network.pdf_innocent_forwarded")
         return self._innocent_rr.select(request, pool)
-
-    @property
-    def suspect_server_ids(self) -> List[int]:
-        """Rack ids of the isolated pool (the DPM throttle targets)."""
-        return [s.server_id for s in self.suspect_pool]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

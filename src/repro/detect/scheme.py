@@ -18,27 +18,25 @@ they happen to request, which is exactly the gap the probe-and-adjust
 attacker exploits against the static list.
 
 Topology placement: in the flat model (and ``placement="dc"``) the
-suspect pool is the last ``suspect_pool_size`` servers in rack order,
-matching Anti-DOPE's carve-out.  Under a power tree,
-``placement="row"`` instead isolates the *last server of every row*, so
-each row PDU contains its own quarantine node and a quarantined flood
-cannot concentrate whole-row power behind a single PDU.
+suspect pool is Anti-DOPE's carve-out, the last
+:data:`~repro.core.anti_dope.SUSPECT_POOL_SIZE` servers in rack order.
+Under a power tree, ``placement="row"`` instead isolates the *last
+server of every row*, so each row PDU contains its own quarantine node
+and a quarantined flood cannot concentrate whole-row power behind a
+single PDU.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, Optional, Sequence
 
-from .._validation import check_fraction, check_int, check_positive, require
+from .._validation import require
 from ..cluster.server import Server
-from ..core.dpm import DPMPlanner
-from ..core.pdf import split_pools
-from ..core.rpm import RequestAwarePowerManager
-from ..network.load_balancer import HealthyPool, RoundRobinPolicy
+from ..core.anti_dope import SuspectPoolScheme
+from ..core.pdf import SuspectPoolPolicy
 from ..network.request import Request, RequestOutcome
 from ..obs import Recorder
-from ..power.manager import PowerManagementScheme
-from ..workloads.catalog import ALL_TYPES, RequestType
+from ..workloads.catalog import ALL_TYPES
 from .features import StreamingFeatureExtractor
 from .model import OnlineAnomalyModel
 
@@ -48,15 +46,15 @@ __all__ = ["DynamicSuspectPolicy", "OnlineDetectScheme", "PLACEMENTS"]
 PLACEMENTS = ("dc", "row")
 
 
-class DynamicSuspectPolicy:
+class DynamicSuspectPolicy(SuspectPoolPolicy):
     """Source-keyed forwarding over a live suspect set.
 
-    The shape of :class:`~repro.core.pdf.PDFPolicy` with two changes:
-    requests are classified by ``request.source_id`` membership in a
-    set the scheme replaces every control slot (not by URL), and every
-    admitted arrival is tapped into the feature extractor — the policy
-    sits exactly where the NLB sees post-firewall traffic, in every
-    engine execution mode.
+    The pool plumbing of :class:`~repro.core.pdf.PDFPolicy` with two
+    changes: requests are classified by ``request.source_id`` membership
+    in a set the scheme replaces every control slot (not by URL), and
+    every admitted arrival is tapped into the feature extractor — the
+    policy sits exactly where the NLB sees post-firewall traffic, in
+    every engine execution mode.
     """
 
     def __init__(
@@ -67,20 +65,10 @@ class DynamicSuspectPolicy:
         now,
         obs: Optional[Recorder] = None,
     ) -> None:
-        require(len(innocent_pool) > 0, "innocent pool must be non-empty")
-        require(len(suspect_pool) > 0, "suspect pool must be non-empty")
+        super().__init__(innocent_pool, suspect_pool, obs)
         self.extractor = extractor
-        self.innocent_pool = list(innocent_pool)
-        self.suspect_pool = list(suspect_pool)
         self.suspect_sources: FrozenSet[int] = frozenset()
-        self._innocent_live = HealthyPool(self.innocent_pool, self.suspect_pool)
-        self._suspect_live = HealthyPool(self.suspect_pool, self.innocent_pool)
         self._now = now
-        self._innocent_rr = RoundRobinPolicy()
-        self._suspect_rr = RoundRobinPolicy()
-        self._obs = obs if obs is not None else Recorder()
-        self.suspect_forwarded = 0
-        self.innocent_forwarded = 0
 
     def set_suspects(self, sources: FrozenSet[int]) -> None:
         """Replace the quarantined source set (scheme-driven, per slot)."""
@@ -111,11 +99,6 @@ class DynamicSuspectPolicy:
         counters.inc("detect.innocent_forwarded")
         return self._innocent_rr.select(request, pool)
 
-    @property
-    def suspect_server_ids(self) -> List[int]:
-        """Rack ids of the quarantine pool (the RPM throttle targets)."""
-        return [s.server_id for s in self.suspect_pool]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DynamicSuspectPolicy(suspect_servers={self.suspect_server_ids}, "
@@ -124,104 +107,62 @@ class DynamicSuspectPolicy:
         )
 
 
-class OnlineDetectScheme(PowerManagementScheme):
+class OnlineDetectScheme(SuspectPoolScheme):
     """Streaming detection + differentiated power management.
+
+    Shares Anti-DOPE's actuation (:class:`~repro.core.anti_dope
+    .SuspectPoolScheme` with its default pool size, queue factor and
+    battery ride-through); only the suspect classification differs.
+    The detector runs at its component defaults: the
+    :class:`StreamingFeatureExtractor` windows decay with ``tau_s`` =
+    10 s over the full request catalog, and the
+    :class:`OnlineAnomalyModel` warms up on 100 feature vectors and
+    flags a source above a score of 1.5 until it falls below 1.0.
 
     Parameters
     ----------
-    suspect_pool_size:
-        Servers isolated for quarantined traffic in ``"dc"`` placement
-        (``"row"`` placement isolates one server per row instead).
-    tau_s:
-        Decay time constant of the feature windows.
-    warmup_observations:
-        Feature vectors the scorer absorbs before flagging anything.
-    enter_threshold / exit_threshold:
-        Hysteresis band on the anomaly score.
     placement:
         ``"dc"`` (one pool at the end of rack order) or ``"row"`` (one
         quarantine server per row of the bound power tree; falls back
         to ``"dc"`` in the flat model, which has no rows).
-    use_battery_transition / suspect_queue_factor / hysteresis:
-        As in :class:`~repro.core.anti_dope.AntiDopeScheme` — the RPM
-        half is shared machinery.
-    profiled_types:
-        Type universe of the entropy feature and energy attribution.
     """
 
     name = "online-detect"
 
-    def __init__(
-        self,
-        suspect_pool_size: int = 1,
-        tau_s: float = 10.0,
-        warmup_observations: int = 100,
-        enter_threshold: float = 1.5,
-        exit_threshold: float = 1.0,
-        placement: str = "dc",
-        use_battery_transition: bool = True,
-        suspect_queue_factor: Optional[float] = 4.0,
-        hysteresis: float = 0.02,
-        profiled_types: Sequence[RequestType] = ALL_TYPES,
-    ) -> None:
+    def __init__(self, placement: str = "dc") -> None:
         super().__init__()
-        check_int("suspect_pool_size", suspect_pool_size, minimum=1)
-        check_positive("tau_s", tau_s)
-        check_fraction("hysteresis", hysteresis)
         require(
             placement in PLACEMENTS,
             f"placement must be one of {PLACEMENTS}, got {placement!r}",
         )
-        if suspect_queue_factor is not None and suspect_queue_factor < 1.0:
-            raise ValueError(
-                f"suspect_queue_factor must be >= 1, got {suspect_queue_factor}"
-            )
-        self.suspect_pool_size = suspect_pool_size
-        self.tau_s = float(tau_s)
-        self.warmup_observations = warmup_observations
-        self.enter_threshold = float(enter_threshold)
-        self.exit_threshold = float(exit_threshold)
         self.placement = placement
-        self.use_battery_transition = use_battery_transition
-        self.suspect_queue_factor = suspect_queue_factor
-        self.dpm_hysteresis = hysteresis
-        self.profiled_types = tuple(profiled_types)
-        self.extractor: Optional[StreamingFeatureExtractor] = None
-        self.model: Optional[OnlineAnomalyModel] = None
-        self.policy: Optional[DynamicSuspectPolicy] = None
-        self.rpm: Optional[RequestAwarePowerManager] = None
-        self._queue_capped = False
+        self.extractor = StreamingFeatureExtractor(
+            ALL_TYPES,
+            # The same offline-profiling energy hook the static suspect
+            # list uses — here it prices completions online instead.
+            energy_of=lambda rtype: self.rack.power_model.energy_per_request(
+                rtype, 1.0
+            ),
+        )
+        self.model = OnlineAnomalyModel(seed=0)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def bind(self, engine, rack, budget, battery, slot_s) -> None:
-        """Attach infrastructure; build the pipeline over the flat carve."""
+        """Attach infrastructure; carve the pools and tap completions."""
         super().bind(engine, rack, budget, battery, slot_s)
-        self.extractor = StreamingFeatureExtractor(
-            self.profiled_types,
-            tau_s=self.tau_s,
-            # The same offline-profiling energy hook the static suspect
-            # list uses — here it prices completions online instead.
-            energy_of=lambda rtype: rack.power_model.energy_per_request(
-                rtype, 1.0
-            ),
-        )
-        self.model = OnlineAnomalyModel(
-            seed=0,
-            warmup_observations=self.warmup_observations,
-            enter_threshold=self.enter_threshold,
-            exit_threshold=self.exit_threshold,
-        )
-        innocent, suspect = split_pools(rack.servers, self.suspect_pool_size)
-        self._build_pools(innocent, suspect)
         for server in rack.servers:
             server.completion_sink = self._tee_completion(
                 server.completion_sink
             )
 
     def bind_topology(self, topology) -> None:
-        """Overlay the tree; re-carve the pools for row placement."""
+        """Overlay the tree; re-carve the pools for row placement.
+
+        The facade asks for the forwarding policy only after this, so
+        the NLB always sees the final carve.
+        """
         super().bind_topology(topology)
         if self.placement != "row":
             return
@@ -245,35 +186,18 @@ class OnlineDetectScheme(PowerManagementScheme):
             len(innocent) > 0,
             "row placement must leave at least one innocent server",
         )
-        self._build_pools(innocent, suspect)
+        self._carve(innocent, suspect)
 
-    def _build_pools(
+    def _make_policy(
         self, innocent: Sequence[Server], suspect: Sequence[Server]
-    ) -> None:
-        """(Re)build the forwarding policy and RPM over a pool carve.
-
-        Called once at :meth:`bind` and possibly again at
-        :meth:`bind_topology` — the simulation facade asks for the
-        forwarding policy only after both, so the NLB always sees the
-        final carve.
-        """
-        self.policy = DynamicSuspectPolicy(
+    ) -> DynamicSuspectPolicy:
+        """The dynamic suspect policy over one pool carve."""
+        return DynamicSuspectPolicy(
             self.extractor,
             innocent,
             suspect,
             now=lambda: self.engine.now,
             obs=self.engine.obs,
-        )
-        self.rpm = RequestAwarePowerManager(
-            suspect_pool=self.policy.suspect_pool,
-            innocent_pool=self.policy.innocent_pool,
-            budget=self.budget,
-            battery=self.battery if self.use_battery_transition else None,
-            planner=DPMPlanner(self.rack.ladder.max_level, self.dpm_hysteresis),
-            slot_s=self.slot_s,
-            # Plan against perceived power so an attached (possibly
-            # faulty) sensor degrades the controller too.
-            power_reader=self.current_power,
         )
 
     def _tee_completion(self, original):
@@ -294,22 +218,6 @@ class OnlineDetectScheme(PowerManagementScheme):
                 original(request, outcome, now)
 
         return tee
-
-    def forwarding_policy(self, servers: Sequence[Server]) -> DynamicSuspectPolicy:
-        """The dynamic suspect policy for the NLB.
-
-        Queue capping happens here, not in :meth:`bind`: the facade
-        fetches the policy only after :meth:`bind_topology`, so the
-        short quarantine queue lands on the *final* pool carve (a
-        ``"row"`` re-carve must not leave a stray capped server behind).
-        """
-        self._require_bound()
-        if self.suspect_queue_factor is not None and not self._queue_capped:
-            for server in self.policy.suspect_pool:
-                cap = int(self.suspect_queue_factor * server.num_workers)
-                server.queue_capacity = min(server.queue_capacity, cap)
-            self._queue_capped = True
-        return self.policy
 
     # ------------------------------------------------------------------
     # Control slot
@@ -336,7 +244,7 @@ class OnlineDetectScheme(PowerManagementScheme):
         if not self.model.warmed_up:
             counters.inc("detect.warmup_slots")
         self.policy.set_suspects(frozenset(suspects))
-        self.rpm.step(now)
+        super().step()
 
     def _calibrate(self, counters) -> None:
         """Derive the power-attribution gain from the sensing path.
@@ -362,12 +270,6 @@ class OnlineDetectScheme(PowerManagementScheme):
         """Source ids currently quarantined by the detector."""
         self._require_bound()
         return self.policy.suspect_sources
-
-    @property
-    def suspect_server_ids(self) -> List[int]:
-        """Rack ids of the quarantine server pool."""
-        self._require_bound()
-        return self.policy.suspect_server_ids
 
     def source_scores(self) -> Dict[int, float]:
         """Last anomaly score per source (detector audit trail)."""

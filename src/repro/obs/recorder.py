@@ -4,8 +4,7 @@ One :class:`Recorder` travels with one :class:`~repro.sim.engine.
 EventEngine` (the engine constructs a fresh one unless handed a shared
 instance), so every component that can reach the engine — servers,
 schemes, the NLB, the meter — records into the same two tables without
-any global state.  Counter tables of several simulations fold
-together with :meth:`~repro.obs.counters.Counters.merge`.
+any global state.
 """
 
 from __future__ import annotations

@@ -60,12 +60,6 @@ class WallTimers:
         self._totals_s[name] = self._totals_s.get(name, 0.0) + elapsed_s
         self._counts[name] = self._counts.get(name, 0) + 1
 
-    def merge(self, other: "WallTimers") -> None:
-        """Fold *other*'s totals and interval counts into this table."""
-        for name, elapsed_s in other._totals_s.items():
-            self._totals_s[name] = self._totals_s.get(name, 0.0) + elapsed_s
-            self._counts[name] = self._counts.get(name, 0) + other._counts[name]
-
     def total_s(self, name: str) -> float:
         """Accumulated wall seconds for *name* (0.0 when never timed)."""
         return self._totals_s.get(name, 0.0)

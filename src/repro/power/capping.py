@@ -9,7 +9,12 @@ requests drag every legitimate request down with them (Figs 7, 16, 17).
 
 from __future__ import annotations
 
-from .manager import PowerManagementScheme, UniformCappingMixin, append_decision
+from .manager import (
+    HYSTERESIS,
+    PowerManagementScheme,
+    UniformCappingMixin,
+    append_decision,
+)
 
 __all__ = [
     "CappingScheme",
@@ -20,20 +25,14 @@ __all__ = [
 class CappingScheme(UniformCappingMixin, PowerManagementScheme):
     """Performance-scaling-only power capping.
 
-    Parameters
-    ----------
-    hysteresis:
-        Raise-guard band as a fraction of the budget (prevents level
-        chatter around the cap).
+    Raising a level needs the :data:`~repro.power.manager.HYSTERESIS`
+    margin below the budget, which prevents level chatter at the cap.
     """
 
     name = "capping"
 
-    def __init__(self, hysteresis: float = 0.02) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if not 0.0 <= hysteresis < 0.5:
-            raise ValueError(f"hysteresis must be in [0, 0.5), got {hysteresis}")
-        self.hysteresis = hysteresis
         #: Per-slot (time, level) control decisions — a bounded trace of
         #: the most recent ``DECISION_HISTORY_CAP`` slots.
         self.decisions = []
@@ -62,11 +61,8 @@ class LocalCappingScheme(PowerManagementScheme):
 
     name = "local-capping"
 
-    def __init__(self, hysteresis: float = 0.02) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if not 0.0 <= hysteresis < 0.5:
-            raise ValueError(f"hysteresis must be in [0, 0.5), got {hysteresis}")
-        self.hysteresis = hysteresis
         #: Per-slot (time, per-server levels) decisions, bounded like
         #: :attr:`CappingScheme.decisions`.
         self.decisions = []
@@ -75,7 +71,7 @@ class LocalCappingScheme(PowerManagementScheme):
         """Each server independently fits under its static share."""
         self._require_bound()
         share = self.budget.supply_w / self.rack.num_servers
-        guard = share * (1.0 - self.hysteresis)
+        guard = share * (1.0 - HYSTERESIS)
         levels = []
         for server in self.rack.servers:
             ladder = server.ladder

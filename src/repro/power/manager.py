@@ -22,6 +22,7 @@ __all__ = [
     "NullScheme",
     "UniformCappingMixin",
     "DECISION_HISTORY_CAP",
+    "HYSTERESIS",
     "append_decision",
 ]
 
@@ -29,6 +30,12 @@ __all__ = [
 #: most recent ones, oldest discarded first.  Exact slot totals live in
 #: the ``power.*`` counters, so a multi-hour run keeps bounded memory.
 DECISION_HISTORY_CAP = 1024
+
+#: Raise-guard band of every V/F controller, as a fraction of its cap:
+#: a level is only *raised* while the predicted power stays below
+#: ``cap × (1 − HYSTERESIS)``, so a load sitting at the cap does not
+#: chatter between adjacent levels.
+HYSTERESIS = 0.02
 
 
 def append_decision(
@@ -319,9 +326,6 @@ class UniformCappingMixin:
     the controller does not chatter between adjacent levels.
     """
 
-    #: Fraction of the budget kept as a raise-guard band.
-    hysteresis: float = 0.02
-
     def apply_uniform_cap(
         self,
         cap_w: float,
@@ -331,7 +335,7 @@ class UniformCappingMixin:
 
         Returns the level chosen.  Raising frequency only happens when
         the predicted power at the higher level stays below the cap
-        minus the hysteresis band.
+        minus the :data:`HYSTERESIS` band.
         """
         self._require_bound()  # type: ignore[attr-defined]
         rack: Rack = self.rack  # type: ignore[attr-defined]
@@ -342,7 +346,7 @@ class UniformCappingMixin:
         target = self.highest_level_within(cap_w, pool)  # type: ignore[attr-defined]
         if target > current:
             # Raising: demand a hysteresis margin to avoid chatter.
-            guard = cap_w * (1.0 - self.hysteresis)
+            guard = cap_w * (1.0 - HYSTERESIS)
             while target > current and self.predict_power_at_level(  # type: ignore[attr-defined]
                 target, pool
             ) > guard:

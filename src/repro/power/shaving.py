@@ -11,13 +11,7 @@ scheme degenerates into Capping with a delay.
 
 from __future__ import annotations
 
-from .._validation import check_int
-from .manager import (
-    DECISION_HISTORY_CAP,
-    PowerManagementScheme,
-    UniformCappingMixin,
-    append_decision,
-)
+from .manager import PowerManagementScheme, UniformCappingMixin, append_decision
 
 __all__ = ["ShavingScheme"]
 
@@ -33,8 +27,6 @@ class ShavingScheme(UniformCappingMixin, PowerManagementScheme):
     soc_reserve:
         SoC fraction below which the battery is considered exhausted
         for shaving purposes (emergency ride-through reserve).
-    hysteresis:
-        Raise-guard band for the DVFS fallback controller.
     full_carry:
         When True (default), a budget violation flips the rack UPS into
         battery mode and the battery carries the *entire* rack load for
@@ -43,12 +35,9 @@ class ShavingScheme(UniformCappingMixin, PowerManagementScheme):
         nodes" and the steep exhaustion in Fig. 18.  When False, the
         battery supplies only the deficit above the budget (partial
         sourcing, as in virtualised power architectures).
-    max_decisions:
-        Maximum per-slot decision tuples retained in ``decisions`` (the
-        oldest are discarded first) — a multi-hour run would otherwise
-        grow the trace without bound while the exact slot totals
-        already live in the ``power.control_slots`` /
-        ``power.battery_discharge_slots`` counters.
+
+    The DVFS fallback raises a level only with the
+    :data:`~repro.power.manager.HYSTERESIS` margin below its cap.
     """
 
     name = "shaving"
@@ -57,9 +46,7 @@ class ShavingScheme(UniformCappingMixin, PowerManagementScheme):
         self,
         recharge_headroom_fraction: float = 0.5,
         soc_reserve: float = 0.05,
-        hysteresis: float = 0.02,
         full_carry: bool = True,
-        max_decisions: int = DECISION_HISTORY_CAP,
     ) -> None:
         super().__init__()
         if not 0.0 <= recharge_headroom_fraction <= 1.0:
@@ -69,16 +56,11 @@ class ShavingScheme(UniformCappingMixin, PowerManagementScheme):
             )
         if not 0.0 <= soc_reserve < 1.0:
             raise ValueError(f"soc_reserve must be in [0, 1), got {soc_reserve}")
-        if not 0.0 <= hysteresis < 0.5:
-            raise ValueError(f"hysteresis must be in [0, 0.5), got {hysteresis}")
-        check_int("max_decisions", max_decisions, minimum=0)
         self.recharge_headroom_fraction = recharge_headroom_fraction
         self.soc_reserve = soc_reserve
-        self.hysteresis = hysteresis
         self.full_carry = full_carry
-        self.max_decisions = max_decisions
         #: Per-slot (time, deficit_w, battery_w, dvfs_level) decisions —
-        #: a bounded trace of the most recent ``max_decisions`` slots.
+        #: a bounded trace of the most recent ``DECISION_HISTORY_CAP`` slots.
         self.decisions = []
 
     def bind(self, engine, rack, budget, battery, slot_s) -> None:
@@ -126,8 +108,4 @@ class ShavingScheme(UniformCappingMixin, PowerManagementScheme):
                 headroom * self.recharge_headroom_fraction, headroom
             )
             battery.charge(charge_w, self.slot_s)
-        append_decision(
-            self.decisions,
-            (self.engine.now, deficit, battery_w, level),
-            self.max_decisions,
-        )
+        append_decision(self.decisions, (self.engine.now, deficit, battery_w, level))

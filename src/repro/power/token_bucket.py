@@ -23,9 +23,14 @@ from ..network.request import Request
 from .manager import PowerManagementScheme
 
 __all__ = [
+    "BURST_S",
     "PowerTokenBucket",
     "TokenScheme",
 ]
+
+#: Depth of the schemes' admission buckets, in seconds of refill: how
+#: large a transient the shaper absorbs before it drops.
+BURST_S = 2.0
 
 
 class PowerTokenBucket:
@@ -90,10 +95,10 @@ class TokenScheme(PowerManagementScheme):
     is the power model's closed-form energy estimate at nominal
     frequency — the same offline profile Anti-DOPE's suspect list uses.
 
+    The bucket holds :data:`BURST_S` seconds of refill.
+
     Parameters
     ----------
-    burst_s:
-        Bucket depth in seconds of refill.
     safety_factor:
         Fraction of the budget's dynamic headroom actually handed out
         as tokens.  A shaper sized to the *average* headroom still lets
@@ -104,12 +109,10 @@ class TokenScheme(PowerManagementScheme):
 
     name = "token"
 
-    def __init__(self, burst_s: float = 2.0, safety_factor: float = 0.6) -> None:
+    def __init__(self, safety_factor: float = 0.6) -> None:
         super().__init__()
-        check_positive("burst_s", burst_s)
         if not 0.0 < safety_factor <= 1.0:
             raise ValueError(f"safety_factor must be in (0, 1], got {safety_factor}")
-        self.burst_s = float(burst_s)
         self.safety_factor = float(safety_factor)
         self.bucket: Optional[PowerTokenBucket] = None
 
@@ -124,7 +127,7 @@ class TokenScheme(PowerManagementScheme):
             """Token price: the request's model energy at nominal f."""
             return model.energy_per_request(request.rtype, 1.0)
 
-        self.bucket = PowerTokenBucket(refill, self.burst_s, cost)
+        self.bucket = PowerTokenBucket(refill, BURST_S, cost)
         self.bucket._last_refill = engine.now
 
     def admission_filter(self) -> Optional[PowerTokenBucket]:

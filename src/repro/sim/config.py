@@ -26,6 +26,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["SimulationConfig"]
 
+#: Fields :meth:`SimulationConfig.to_dict` leaves out while they hold
+#: their declared default, so configs (and cached experiment ids) from
+#: before each field existed keep their hash: ``topology`` keeps
+#: ``--topology flat`` byte-identical to pre-tree runs.  Float defaults
+#: compare with :func:`math.isclose`.
+_OMIT_AT_DEFAULT = ("topology", "detect_placement", "prediction_horizon_s")
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -34,8 +41,7 @@ class SimulationConfig:
     # --- rack / topology --------------------------------------------
     num_servers: int = 4
     #: Power-tree preset name; ``"flat"`` is the treeless paper model
-    #: and serialises *without* the key so pre-topology configs hash
-    #: identically (the ``--topology flat`` byte-identity contract).
+    #: and serialises *without* the key (see :data:`_OMIT_AT_DEFAULT`).
     topology: str = "flat"
     nameplate_w: float = 100.0
     workers_per_server: int = 8
@@ -64,17 +70,15 @@ class SimulationConfig:
     #: Quarantine-pool placement of the ``online-detect`` scheme:
     #: ``"dc"`` carves one pool at the end of rack order, ``"row"``
     #: isolates one server per row of a power tree.  The default
-    #: serialises *without* the key (same contract as ``topology``) so
-    #: pre-detector configs hash identically.
+    #: serialises *without* the key (see :data:`_OMIT_AT_DEFAULT`).
     detect_placement: str = "dc"
 
     # --- prediction-based oversubscription --------------------------
     #: Power-history horizon of the ``prediction`` scheme: the decaying
     #: observed-max floor fades over roughly this many seconds and the
     #: percentile estimator is paced to traverse the nameplate range in
-    #: the same window.  The default serialises *without* the key (same
-    #: contract as ``topology``) so pre-predictor configs hash
-    #: identically.
+    #: the same window.  The default serialises *without* the key (see
+    #: :data:`_OMIT_AT_DEFAULT`).
     prediction_horizon_s: float = 60.0
 
     # --- reproducibility --------------------------------------------
@@ -169,18 +173,15 @@ class SimulationConfig:
         """JSON-ready dict; the budget level serialises as its name."""
         out = asdict(self)
         out["budget_level"] = self.budget_level.name
-        if self.topology == "flat":
-            # The flat default serialises without the key: configs from
-            # before the topology layer hash identically, which is what
-            # keeps `--topology flat` byte-identical to pre-tree runs.
-            del out["topology"]
-        if self.detect_placement == "dc":
-            # Same delete-at-default contract: pre-detector configs and
-            # cached experiment ids keep their identity.
-            del out["detect_placement"]
-        if math.isclose(self.prediction_horizon_s, 60.0):
-            # Same delete-at-default contract for the predictor horizon.
-            del out["prediction_horizon_s"]
+        for name in _OMIT_AT_DEFAULT:
+            default = self.__dataclass_fields__[name].default
+            value = out[name]
+            if isinstance(default, float):
+                at_default = math.isclose(value, default)
+            else:
+                at_default = value == default
+            if at_default:
+                del out[name]
         return out
 
     @classmethod

@@ -6,6 +6,6 @@ from repro.sim.engine import EventEngine
 from repro.network.request import Request
 
 if TYPE_CHECKING:  # annotation-only imports are exempt from layering
-    from repro.sim.simulation import DataCenterSimulation
+    from repro.sim.simulation import DataCenterSimulation  # noqa: F401
 
 __all__ = ["EventEngine", "Request"]

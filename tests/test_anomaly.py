@@ -1,6 +1,5 @@
 """Unit tests for the aggregate anomaly detector."""
 
-import numpy as np
 import pytest
 
 from repro.network.anomaly import AggregateAnomalyDetector

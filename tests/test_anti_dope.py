@@ -5,7 +5,7 @@ import pytest
 from repro import AntiDopeScheme, BudgetLevel, DataCenterSimulation, SimulationConfig
 from repro.core import SuspectList
 from repro.power import PowerBudget
-from repro.workloads import ALL_TYPES, COLLA_FILT, TEXT_CONT, uniform_mix
+from repro.workloads import ALL_TYPES, COLLA_FILT
 
 
 class TestBinding:
@@ -25,7 +25,7 @@ class TestBinding:
         scheme = AntiDopeScheme(suspect_pool_size=2)
         scheme.bind(engine, rack, PowerBudget(320.0), None, 1.0)
         policy = scheme.forwarding_policy(rack.servers)
-        assert policy is scheme.pdf
+        assert policy is scheme.policy
         assert scheme.suspect_server_ids == [2, 3]
 
     def test_no_admission_filter(self, engine, rack):
@@ -36,15 +36,17 @@ class TestBinding:
     def test_suspect_queue_regulation_applied(self, engine, rack):
         scheme = AntiDopeScheme(suspect_queue_factor=3.0)
         scheme.bind(engine, rack, PowerBudget(320.0), None, 1.0)
-        suspect = scheme.pdf.suspect_pool[0]
+        scheme.forwarding_policy(rack.servers)
+        suspect = scheme.policy.suspect_pool[0]
         assert suspect.queue_capacity == 3 * suspect.num_workers
-        for innocent in scheme.pdf.innocent_pool:
+        for innocent in scheme.policy.innocent_pool:
             assert innocent.queue_capacity == 512
 
     def test_queue_regulation_disabled_with_none(self, engine, rack):
         scheme = AntiDopeScheme(suspect_queue_factor=None)
         scheme.bind(engine, rack, PowerBudget(320.0), None, 1.0)
-        assert scheme.pdf.suspect_pool[0].queue_capacity == 512
+        scheme.forwarding_policy(rack.servers)
+        assert scheme.policy.suspect_pool[0].queue_capacity == 512
 
     def test_battery_ablation_arm(self, engine, rack):
         from repro.power import Battery
@@ -101,8 +103,6 @@ class TestEndToEnd:
     def test_normal_latency_shielded_from_attack(self):
         """The headline property: legitimate light traffic barely
         notices a DOPE flood under Anti-DOPE."""
-        from repro.workloads import TrafficClass
-
         cfg = SimulationConfig(budget_level=BudgetLevel.LOW, seed=11)
         quiet = DataCenterSimulation(cfg, scheme=AntiDopeScheme())
         quiet.add_normal_traffic(rate_rps=30)

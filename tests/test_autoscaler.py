@@ -6,7 +6,7 @@ import pytest
 from repro.cluster import Rack
 from repro.cluster.autoscaler import AutoScaler
 from repro.network import NetworkLoadBalancer, Request
-from repro.workloads import COLLA_FILT, TEXT_CONT, TrafficClass
+from repro.workloads import COLLA_FILT, TrafficClass
 
 
 def make_request(rtype=COLLA_FILT, source=0, t=0.0):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.network import Request
-from repro.power import BudgetLevel, CappingScheme, PowerBudget
+from repro.power import CappingScheme, PowerBudget
 from repro.workloads import COLLA_FILT, K_MEANS, TrafficClass
 
 
@@ -98,10 +98,6 @@ class TestHysteresis:
             levels.append(rack.levels()[0])
         assert len(set(levels[1:])) == 1
 
-    def test_invalid_hysteresis_rejected(self):
-        with pytest.raises(ValueError):
-            CappingScheme(hysteresis=0.6)
-
 
 class TestBinding:
     def test_step_before_bind_rejected(self):
@@ -169,9 +165,3 @@ class TestLocalCapping:
         scheme.bind(engine, rack, PowerBudget(320.0), None, 1.0)
         scheme.step()
         assert rack.levels() == [12] * 4
-
-    def test_validation(self):
-        from repro.power import LocalCappingScheme
-
-        with pytest.raises(ValueError):
-            LocalCappingScheme(hysteresis=0.9)

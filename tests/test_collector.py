@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.metrics import MetricsCollector
 from repro.network import Request, RequestOutcome
 from repro.workloads import COLLA_FILT, TEXT_CONT, TrafficClass
 

@@ -1,7 +1,7 @@
 """Per-slot decision traces stay bounded on long runs.
 
-Capping, local capping and Anti-DOPE's request-aware power manager each
-record one decision per control slot.  Past ``DECISION_HISTORY_CAP``
+Capping, local capping, Shaving and Anti-DOPE's request-aware power
+manager each record one decision per control slot.  Past ``DECISION_HISTORY_CAP``
 slots the oldest entries are discarded, so a long run keeps the newest
 ``DECISION_HISTORY_CAP`` decisions and its memory stays flat.
 """
@@ -22,13 +22,9 @@ from repro.power.manager import DECISION_HISTORY_CAP, append_decision
 HISTORIES = {
     "capping": (CappingScheme, lambda s: s.decisions, lambda d: d[0]),
     "local-capping": (LocalCappingScheme, lambda s: s.decisions, lambda d: d[0]),
+    "shaving": (ShavingScheme, lambda s: s.decisions, lambda d: d[0]),
     "rpm": (AntiDopeScheme, lambda s: s.rpm.stats.decisions, lambda d: d.time_s),
 }
-
-
-def test_cap_matches_the_shaving_default():
-    assert DECISION_HISTORY_CAP == 1024
-    assert ShavingScheme().max_decisions == DECISION_HISTORY_CAP
 
 
 def test_append_decision_keeps_the_newest_entries():

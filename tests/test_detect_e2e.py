@@ -18,8 +18,6 @@ The acceptance scenarios of the fifth scheme:
 
 import json
 
-import pytest
-
 from repro import AntiDopeScheme, CappingScheme, OnlineDetectScheme
 from repro.analysis import DopeRegionAnalyzer, detector_summary
 from repro.faults import FaultInjector, FaultPlan

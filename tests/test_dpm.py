@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DPMPlanner, ThrottlePlan
+from repro.core import DPMPlanner
 
 
 def linear_predictor(suspect_w_per_level, innocent_w_per_level, base=0.0):

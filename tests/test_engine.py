@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.sim import EventEngine
-
 
 class TestScheduling:
     def test_schedule_relative(self, engine):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import BudgetLevel, CappingScheme, SimulationConfig
+from repro import CappingScheme, SimulationConfig
 from repro.sim.facility import FacilitySimulation
 from repro.workloads import COLLA_FILT, K_MEANS, WORD_COUNT, TrafficClass, uniform_mix
 

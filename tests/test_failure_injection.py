@@ -5,7 +5,6 @@ system's behaviour stays sane (no crashes, conservative fallbacks) —
 the situations a production deployment meets on its worst day.
 """
 
-import numpy as np
 import pytest
 
 from repro import (

@@ -91,7 +91,7 @@ class TestFlashCrowd:
             duration_s=60.0,
         )
         sim.run(80.0)
-        pdf = sim.scheme.pdf
+        pdf = sim.scheme.policy
         # The surge went to the suspect pool.
         assert pdf.suspect_forwarded > 1000
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.network import SourceRegistry
-from repro.trace import ConstantRateProcess, PoissonProcess
+from repro.trace import ConstantRateProcess
 from repro.workloads import (
     COLLA_FILT,
     TEXT_CONT,

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Rack
-from repro.core import PDFPolicy, RequestAwarePowerManager, SuspectList
+from repro.core import PDFPolicy, RequestAwarePowerManager, SuspectList, split_pools
 from repro.detect import DynamicSuspectPolicy, StreamingFeatureExtractor
 from repro.network import HealthyPool, NetworkLoadBalancer, Request
 from repro.power import PowerBudget
@@ -46,8 +46,7 @@ class World:
         self.nlb = NetworkLoadBalancer(servers, obs=self.engine.obs)
         self.pdf = PDFPolicy(
             SuspectList.from_model(ALL_TYPES, self.rack.power_model),
-            servers,
-            SUSPECT_POOL,
+            *split_pools(servers, SUSPECT_POOL),
             obs=self.engine.obs,
         )
         self.detect = DynamicSuspectPolicy(

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.metrics import MetricsCollector
 from repro.network import (
     LeastLoadedPolicy,
     NetworkLoadBalancer,
-    NullFirewall,
     RandomPolicy,
     RateLimitFirewall,
     Request,

@@ -1,8 +1,5 @@
 """Targeted tests for paths not covered by module-focused suites."""
 
-import math
-
-import numpy as np
 import pytest
 
 from repro import (
@@ -11,8 +8,7 @@ from repro import (
     NullScheme,
     SimulationConfig,
 )
-from repro.network import SourceRegistry
-from repro.workloads import COLLA_FILT, TrafficClass
+from repro.workloads import COLLA_FILT
 
 
 class TestSimulationDopeAttacker:

@@ -44,26 +44,26 @@ class TestSplitPools:
 
 class TestRouting:
     def test_suspect_urls_to_suspect_pool(self, rack, suspect_list):
-        policy = PDFPolicy(suspect_list, rack.servers, 1)
+        policy = PDFPolicy(suspect_list, *split_pools(rack.servers, 1))
         for rtype in (COLLA_FILT, K_MEANS, WORD_COUNT):
             server = policy.select(req(rtype), rack.servers)
             assert server.server_id == 3
 
     def test_innocent_urls_to_innocent_pool(self, rack, suspect_list):
-        policy = PDFPolicy(suspect_list, rack.servers, 1)
+        policy = PDFPolicy(suspect_list, *split_pools(rack.servers, 1))
         for _ in range(6):
             server = policy.select(req(TEXT_CONT), rack.servers)
             assert server.server_id in {0, 1, 2}
 
     def test_round_robin_within_pools(self, rack, suspect_list):
-        policy = PDFPolicy(suspect_list, rack.servers, 2)
+        policy = PDFPolicy(suspect_list, *split_pools(rack.servers, 2))
         picks = [policy.select(req(COLLA_FILT), rack.servers).server_id for _ in range(4)]
         assert picks == [2, 3, 2, 3]
         picks = [policy.select(req(TEXT_CONT), rack.servers).server_id for _ in range(4)]
         assert picks == [0, 1, 0, 1]
 
     def test_counters(self, rack, suspect_list):
-        policy = PDFPolicy(suspect_list, rack.servers, 1)
+        policy = PDFPolicy(suspect_list, *split_pools(rack.servers, 1))
         policy.select(req(COLLA_FILT), rack.servers)
         policy.select(req(TEXT_CONT), rack.servers)
         policy.select(req(TEXT_CONT), rack.servers)
@@ -74,9 +74,9 @@ class TestRouting:
         from repro.workloads import RequestType
 
         new_type = RequestType("new", "/api/new", 0.01, 0.5, 0.5, 0.5)
-        policy = PDFPolicy(suspect_list, rack.servers, 1)
+        policy = PDFPolicy(suspect_list, *split_pools(rack.servers, 1))
         assert policy.select(req(new_type), rack.servers).server_id != 3
 
     def test_suspect_server_ids(self, rack, suspect_list):
-        policy = PDFPolicy(suspect_list, rack.servers, 2)
+        policy = PDFPolicy(suspect_list, *split_pools(rack.servers, 2))
         assert policy.suspect_server_ids == [2, 3]

@@ -1,10 +1,8 @@
 """Property-based tests (hypothesis) on core invariants."""
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import EmpiricalCDF
@@ -13,7 +11,7 @@ from repro.core import DPMPlanner
 from repro.metrics import LatencyStats
 from repro.power import Battery, PowerTokenBucket
 from repro.sim import EventQueue
-from repro.workloads import ALL_TYPES, RequestType
+from repro.workloads import ALL_TYPES
 
 # ----------------------------------------------------------------------
 # Frequency ladder

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import BudgetLevel, DataCenterSimulation, NullScheme, SimulationConfig
-from repro.network import SourceRegistry
 from repro.workloads import TrafficClass
 from repro.workloads.pulse import PulseAttacker
 

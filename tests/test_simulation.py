@@ -1,6 +1,5 @@
 """Integration tests for the DataCenterSimulation facade."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -8,7 +7,6 @@ from repro import (
     BudgetLevel,
     CappingScheme,
     DataCenterSimulation,
-    NullScheme,
     SimulationConfig,
     TokenScheme,
 )
@@ -35,7 +33,7 @@ class TestConstruction:
 
     def test_scheme_policy_installed(self):
         sim = DataCenterSimulation(scheme=AntiDopeScheme())
-        assert sim.nlb.policy is sim.scheme.pdf
+        assert sim.nlb.policy is sim.scheme.policy
 
     def test_token_filter_installed(self):
         sim = DataCenterSimulation(scheme=TokenScheme())
